@@ -87,7 +87,6 @@ from .textio import (
     parse_term,
     print_basis,
     print_formula,
-    print_judgment,
     print_term,
 )
 from .typecheck import (

@@ -6,7 +6,9 @@ Term syntax is fully parenthesized by constructor, so terms round-trip
 exactly; neither printer ever renames a variable.
 
 Derivations travel as JSON trees: {"rule", "concl", "prems"} with formulas
-and terms embedded as strings in this module's syntax.
+and terms embedded as strings in this module's syntax.  A load parses each
+distinct string once and shares the result between the nodes that carry it;
+a dump prints each distinct formula once.
 """
 
 from __future__ import annotations
@@ -443,26 +445,36 @@ def print_basis(b: Basis) -> str:
     return f"({gamma}{sep}{delta})"
 
 
-def print_judgment(j: Judgment) -> str:
-    return f"{print_basis(j.basis)} =>{j.pol} {print_term(j.term)} : {print_formula(j.type)}"
+def _once(fn):
+    """`fn` computed once per distinct argument for as long as the returned
+    function lives; `fn` must not return None.  A JSON load or dump makes
+    its own, so nothing is kept after the call."""
+    seen = {}
 
+    def get(key):
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = fn(key)
+        return value
 
-def judgment_to_obj(j: Judgment) -> dict:
-    return {
-        "gamma": [[n, print_formula(f)] for n, f in j.basis.gamma],
-        "delta": [[n, print_formula(f)] for n, f in j.basis.delta],
-        "pol": str(j.pol),
-        "term": print_term(j.term),
-        "type": print_formula(j.type),
-    }
+    return get
 
 
 def derivation_to_obj(d: Derivation) -> dict:
-    return {
-        "rule": d.rule,
-        "concl": judgment_to_obj(d.concl),
-        "prems": [derivation_to_obj(p) for p in d.prems],
-    }
+    formula = _once(print_formula)
+
+    def node(d: Derivation) -> dict:
+        j = d.concl
+        concl = {
+            "gamma": [[n, formula(f)] for n, f in j.basis.gamma],
+            "delta": [[n, formula(f)] for n, f in j.basis.delta],
+            "pol": str(j.pol),
+            "term": print_term(j.term),
+            "type": formula(j.type),
+        }
+        return {"rule": d.rule, "concl": concl, "prems": [node(p) for p in d.prems]}
+
+    return node(d)
 
 
 def derivation_to_json(d: Derivation, indent: int | None = 2) -> str:
@@ -473,40 +485,59 @@ class DerivationFormatError(Exception):
     """The JSON is structurally not a derivation."""
 
 
-def _obj_judgment(obj) -> Judgment:
-    if not isinstance(obj, dict):
-        raise DerivationFormatError("judgment must be an object")
-    try:
-        gamma = {n: parse_formula(f) for n, f in obj["gamma"]}
-        delta = {n: parse_formula(f) for n, f in obj["delta"]}
-        pol = {"+": PLUS, "-": MINUS}[obj["pol"]]
-        term = parse_term(obj["term"])
-        typ = parse_formula(obj["type"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise DerivationFormatError(f"malformed judgment: {e}") from e
-    if len(gamma) != len(obj["gamma"]) or len(delta) != len(obj["delta"]):
-        raise DerivationFormatError("duplicate assumption name in basis")
-    return Judgment(Basis.make(gamma, delta), pol, term, typ)
+def _is_basis(entries) -> bool:
+    return isinstance(entries, list) and all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
+        for e in entries
+    )
 
 
 def derivation_from_obj(obj) -> Derivation:
-    if not isinstance(obj, dict):
-        raise DerivationFormatError("derivation must be an object")
-    for key in ("rule", "concl", "prems"):
-        if key not in obj:
-            raise DerivationFormatError(f"derivation node lacks {key!r}")
-    if not isinstance(obj["rule"], str):
-        raise DerivationFormatError("rule must be a string")
-    if not isinstance(obj["prems"], list):
-        raise DerivationFormatError("prems must be a list")
-    concl = _obj_judgment(obj["concl"])
-    prems = tuple(derivation_from_obj(p) for p in obj["prems"])
-    return Derivation(obj["rule"], concl, prems)
+    """The derivation a JSON object describes.  Each distinct formula or
+    term string is parsed once per call and the result shared by every
+    node that carries it."""
+    formula = _once(parse_formula)
+    term = _once(parse_term)
+
+    def judgment(obj) -> Judgment:
+        if not isinstance(obj, dict):
+            raise DerivationFormatError("judgment must be an object")
+        for key in ("gamma", "delta"):
+            if not _is_basis(obj.get(key)):
+                raise DerivationFormatError(f"{key} must be a list of [name, formula] string pairs")
+        for key in ("pol", "term", "type"):
+            if not isinstance(obj.get(key), str):
+                raise DerivationFormatError(f"{key} must be a string")
+        gamma = {n: formula(f) for n, f in obj["gamma"]}
+        delta = {n: formula(f) for n, f in obj["delta"]}
+        pol = {"+": PLUS, "-": MINUS}.get(obj["pol"])
+        if pol is None:
+            raise DerivationFormatError(f"pol must be '+' or '-', not {obj['pol']!r}")
+        t, typ = term(obj["term"]), formula(obj["type"])
+        if len(gamma) != len(obj["gamma"]) or len(delta) != len(obj["delta"]):
+            raise DerivationFormatError("duplicate assumption name in basis")
+        return Judgment(Basis.make(gamma, delta), pol, t, typ)
+
+    def node(obj) -> Derivation:
+        if not isinstance(obj, dict):
+            raise DerivationFormatError("derivation must be an object")
+        for key in ("rule", "concl", "prems"):
+            if key not in obj:
+                raise DerivationFormatError(f"derivation node lacks {key!r}")
+        if not isinstance(obj["rule"], str):
+            raise DerivationFormatError("rule must be a string")
+        if not isinstance(obj["prems"], list):
+            raise DerivationFormatError("prems must be a list")
+        concl = judgment(obj["concl"])
+        return Derivation(obj["rule"], concl, tuple(node(p) for p in obj["prems"]))
+
+    return node(obj)
 
 
 def derivation_from_json(text: str) -> Derivation:
     try:
-        obj = json.loads(text)
+        return derivation_from_obj(json.loads(text))
     except json.JSONDecodeError as e:
         raise DerivationFormatError(f"not valid JSON: {e}") from e
-    return derivation_from_obj(obj)
+    except RecursionError as e:
+        raise DerivationFormatError("nested too deeply") from e

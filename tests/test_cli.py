@@ -58,6 +58,18 @@ def test_check_missing_file_beats_invalid(tmp_path, capsys):
     assert f"{p}: invalid" in out
 
 
+def test_check_deeply_nested_file(tmp_path, capsys):
+    deep = "[]"
+    for _ in range(5000):
+        deep = '[{"rule": "AndI", "concl": {}, "prems": ' + deep + "}]"
+    p = tmp_path / "deep.json"
+    p.write_text('{"rule": "AndI", "concl": {}, "prems": ' + deep + "}")
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == f"{p}: error: nested too deeply\n"
+
+
 # ------------------------------------------------------------------- infer
 
 

@@ -1,12 +1,16 @@
+import json
+
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+from l2int.derivation import Derivation, Judgment
 from l2int.syntax import (
     PLUS,
     MINUS,
     And,
     Atom,
+    Basis,
     Bot,
     CoImp,
     Falsum,
@@ -31,7 +35,7 @@ from l2int.textio import (
     print_formula,
     print_term,
 )
-from conftest import load_worked_pair
+from conftest import DATA, load_worked_pair
 
 
 # ---------------------------------------------------------------- formulas
@@ -211,3 +215,105 @@ def test_derivation_json_rejects_garbage():
 def test_derivation_json_round_trip_generated(seed):
     d = gen_derivation(GenConfig(seed=seed, max_height=5))
     assert derivation_from_json(derivation_to_json(d)) == d
+
+
+def _judgment_json(**fields) -> str:
+    concl = {"gamma": [], "delta": [], "pol": "+", "term": "x+", "type": "a"} | fields
+    return json.dumps({"rule": "Hyp+", "concl": concl, "prems": []})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"gamma": [[1, "a"]]},
+        {"gamma": ["xa"]},
+        {"gamma": [["x", ["a"]]]},
+        {"gamma": [["x", "a", "b"]]},
+        {"delta": {"xa": "b"}},
+        {"pol": ["+"]},
+        {"term": 3},
+        {"type": None},
+    ],
+)
+def test_derivation_json_strict_schema(fields):
+    with pytest.raises(DerivationFormatError):
+        derivation_from_json(_judgment_json(**fields))
+
+
+def test_derivation_json_parse_errors_unchanged():
+    for fields, parse, src in [
+        ({"gamma": [["x", "a & "]]}, parse_formula, "a & "),
+        ({"term": "app+(x+ y+)"}, parse_term, "app+(x+ y+)"),
+        ({"term": "app+(x+, y-)"}, parse_term, "app+(x+, y-)"),
+        ({"type": "a -> b -< c"}, parse_formula, "a -> b -< c"),
+    ]:
+        with pytest.raises((ParseError, PolarityError)) as expected:
+            parse(src)
+        with pytest.raises(expected.type) as got:
+            derivation_from_json(_judgment_json(**fields))
+        assert (got.value.message, got.value.span) == (expected.value.message, expected.value.span)
+
+
+# Reference JSON load and dump: every node's strings parsed and printed from
+# scratch, with no sharing between nodes.
+
+
+def _reference_from_obj(obj) -> Derivation:
+    c = obj["concl"]
+    basis = Basis.make(
+        {n: parse_formula(f) for n, f in c["gamma"]},
+        {n: parse_formula(f) for n, f in c["delta"]},
+    )
+    pol = {"+": PLUS, "-": MINUS}[c["pol"]]
+    concl = Judgment(basis, pol, parse_term(c["term"]), parse_formula(c["type"]))
+    return Derivation(obj["rule"], concl, tuple(_reference_from_obj(p) for p in obj["prems"]))
+
+
+def _reference_to_obj(d: Derivation) -> dict:
+    j = d.concl
+    concl = {
+        "gamma": [[n, print_formula(f)] for n, f in j.basis.gamma],
+        "delta": [[n, print_formula(f)] for n, f in j.basis.delta],
+        "pol": str(j.pol),
+        "term": print_term(j.term),
+        "type": print_formula(j.type),
+    }
+    return {"rule": d.rule, "concl": concl, "prems": [_reference_to_obj(p) for p in d.prems]}
+
+
+def _rule_count(d: Derivation) -> int:
+    return 1 + sum(_rule_count(p) for p in d.prems)
+
+
+def test_derivation_json_matches_reference():
+    texts = [p.read_text() for p in sorted(DATA.glob("*.json"))]
+    sizes = []
+    for seed in range(200):
+        d = gen_derivation(GenConfig(seed=seed, max_height=8))
+        sizes.append(_rule_count(d))
+        texts.append(json.dumps(_reference_to_obj(d)))
+    assert sum(n > 50 for n in sizes) >= 3
+    for text in texts:
+        obj = json.loads(text)
+        d = derivation_from_json(text)
+        assert d == _reference_from_obj(obj)
+        assert derivation_to_json(d) == json.dumps(_reference_to_obj(d), indent=2)
+        assert derivation_to_json(d, indent=None) == json.dumps(_reference_to_obj(d))
+
+
+def test_derivation_json_shares_equal_formulas():
+    text = (DATA / "worked_first.json").read_text()
+    loaded = {}  # basis formula string -> the formula objects loaded for it
+
+    def walk(obj, d):
+        c, basis = obj["concl"], d.concl.basis
+        for entries, side in ((c["gamma"], basis.gamma), (c["delta"], basis.delta)):
+            for name, src in entries:
+                loaded.setdefault(src, []).append(dict(side)[name])
+        for o, p in zip(obj["prems"], d.prems):
+            walk(o, p)
+
+    walk(json.loads(text), derivation_from_json(text))
+    assert any(len(fs) > 1 for fs in loaded.values())
+    for fs in loaded.values():
+        assert all(f is fs[0] for f in fs)
