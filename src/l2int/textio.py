@@ -159,9 +159,18 @@ class _Parser:
 # ---------------------------------------------------------------- formulas
 
 
+def _too_deep(p: _Parser) -> ParseError:
+    """What a parse reports when the input nests deeper than Python's
+    recursion limit lets the recursive descent follow."""
+    return ParseError("nested too deeply", p.peek().span)
+
+
 def parse_formula(src: str) -> Formula:
     p = _Parser(_lex(src, ("->", "-<"), "&|()"))
-    f = _formula(p)
+    try:
+        f = _formula(p)
+    except RecursionError as e:
+        raise _too_deep(p) from e
     if p.peek().kind != "eof":
         p.fail(f"unexpected {p.peek().text!r} after formula")
     return f
@@ -273,10 +282,13 @@ def print_formula(f: Formula) -> str:
 def parse_term(src: str) -> Term:
     p = _Parser(_lex(src, (), "()<>{},.|\\+-"))
     spans: dict[tuple[int, ...], SourceSpan] = {}
-    t = _term(p, (), spans)
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected {p.peek().text!r} after term")
-    violations = check_polarities(t)
+    try:
+        t = _term(p, (), spans)
+        if p.peek().kind != "eof":
+            p.fail(f"unexpected {p.peek().text!r} after term")
+        violations = check_polarities(t)
+    except RecursionError as e:
+        raise _too_deep(p) from e
     if violations:
         v = violations[0]
         raise PolarityError(v.message, spans.get(v.path, spans[()]))

@@ -4,7 +4,10 @@ Every constructor-polarity combination matches exactly one rule, so
 inference is syntax directed: walk the term, allocate metavariables,
 collect first-order constraints, solve by unification.  check() runs the
 same inference with the free variables pinned to their basis entries and
-then rebuilds the full derivation tree, node by node.
+then rebuilds the full derivation tree, node by node.  Unification is over
+before the rebuild starts, so check() resolves each metavariable once (one
+the constraints left open becomes top) and each node's type once, sharing
+the resolved formulas between the nodes that carry them.
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ def _occurs(name: str, f: Formula, s: Substitution) -> bool:
 
 def _unify(a: Formula, b: Formula, s: Substitution) -> None:
     a, b = s.walk(a), s.walk(b)
+    if a is b:
+        return
     match a, b:
         case MetaVar(x), MetaVar(y) if x == y:
             return
@@ -182,20 +187,19 @@ def _rename_metavars(f: Formula, names: dict[str, str]) -> Formula:
 
 
 def _metavar_order(formulas) -> list[str]:
-    order: list[str] = []
+    order: dict[str, None] = {}
 
     def walk(f: Formula) -> None:
         match f:
             case MetaVar(n):
-                if n not in order:
-                    order.append(n)
+                order[n] = None
             case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
                 walk(a)
                 walk(b)
 
     for f in formulas:
         walk(f)
-    return order
+    return list(order)
 
 
 @dataclass
@@ -205,6 +209,10 @@ class _Ctx:
     node_type: dict[tuple[int, ...], Formula] = field(default_factory=dict)
     counter: int = 0
     seeded: Basis | None = None
+    # check()'s resolved formulas: metavariables by name, compound formulas
+    # by id (node_type or subst holds each of them, so no id is reused).
+    solved_var: dict[str, Formula] = field(default_factory=dict)
+    solved_obj: dict[int, Formula] = field(default_factory=dict)
 
     def fresh(self) -> MetaVar:
         self.counter += 1
@@ -355,7 +363,6 @@ def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
         raise TypeMismatch(
             f"term has type {_show(cx.subst.apply(got))}, not {_show(a)}"
         ) from e
-    _ground_residuals(cx)
     return _build(t, (), basis, cx)
 
 
@@ -365,16 +372,26 @@ def _show(f: Formula) -> str:
     return print_formula(f)
 
 
-def _ground_residuals(cx: _Ctx) -> None:
-    """Pin any metavariable the constraints left open to top."""
-    pending = list(cx.node_type.values()) + list(cx.free.values())
-    for f in pending:
-        for n in _metavar_order([cx.subst.apply(f)]):
-            cx.subst.mapping[n] = Verum()
-
-
-def _retype(cx: _Ctx, path: tuple[int, ...]) -> Formula:
-    return cx.subst.apply(cx.node_type[path])
+def _solved(cx: _Ctx, f: Formula) -> Formula:
+    """f under the finished substitution, with any metavariable the
+    constraints left open pinned to top; memoised in cx, so a part shared
+    by many node types is resolved once and stays one object."""
+    match f:
+        case MetaVar(n):
+            got = cx.solved_var.get(n)
+            if got is None:
+                bound = cx.subst.mapping.get(n)
+                got = cx.solved_var[n] = Verum() if bound is None else _solved(cx, bound)
+            return got
+        case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
+            got = cx.solved_obj.get(id(f))
+            if got is None:
+                a2, b2 = _solved(cx, a), _solved(cx, b)
+                got = f if a2 is a and b2 is b else type(f)(a2, b2)
+                cx.solved_obj[id(f)] = got
+            return got
+        case _:
+            return f
 
 
 def _unshadow(
@@ -389,7 +406,7 @@ def _unshadow(
 
 
 def _build(t: Term, path: tuple[int, ...], basis: Basis, cx: _Ctx) -> Derivation:
-    ty = _retype(cx, path)
+    ty = _solved(cx, cx.node_type[path])
 
     def node(rule: str, term: Term, *prems: Derivation) -> Derivation:
         return Derivation(rule, Judgment(basis, term.pol, term, ty), tuple(prems))

@@ -70,6 +70,18 @@ def test_check_deeply_nested_file(tmp_path, capsys):
     assert err == f"{p}: error: nested too deeply\n"
 
 
+def test_check_too_deep_formula_in_file(tmp_path, capsys):
+    first, _ = load_worked_pair()
+    obj = json.loads(derivation_to_json(first))
+    obj["concl"]["type"] = "(" * 2000 + "a" + ")" * 2000
+    p = tmp_path / "deep_formula.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == f"{p}: error: nested too deeply\n"
+
+
 # ------------------------------------------------------------------- infer
 
 
@@ -145,6 +157,16 @@ def test_normalize_trace_survives_exhaustion(capsys):
     assert all(line.startswith("beta-App@root") for line in out.splitlines())
 
 
+def test_normalize_too_deep_term(capsys):
+    deep = "inl+(" * 3000 + "x+" + ")" * 3000
+    code, out, err = run(capsys, "normalize", "-e", deep)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 0, column ")
+    assert err.endswith(": nested too deeply\n")
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- dualize
 
 
@@ -158,6 +180,14 @@ def test_dualize_formula_golden(capsys):
     code, out, _ = run(capsys, "dualize", "--formula", "(a -< b) -> (top -< (a -> b))")
     assert code == 0
     assert out == "((b -< a) -> bot) -< (b -> a)\n"
+
+
+def test_dualize_too_deep_formula(capsys):
+    code, out, err = run(capsys, "dualize", "--formula", "(" * 2000 + "a" + ")" * 2000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 0, column ")
+    assert err.endswith(": nested too deeply\n")
 
 
 def test_dualize_file_roundtrip(capsys):

@@ -22,6 +22,7 @@ from l2int.syntax import (
     Var,
     Verum,
 )
+from l2int.rewrite import normalize
 from l2int.testkit import GenConfig, gen_derivation
 from l2int.textio import (
     DerivationFormatError,
@@ -35,6 +36,7 @@ from l2int.textio import (
     print_formula,
     print_term,
 )
+from l2int.typecheck import infer_principal
 from conftest import DATA, load_worked_pair
 
 
@@ -166,6 +168,28 @@ def test_parse_term_error_span():
     with pytest.raises(ParseError) as e:
         parse_term("app+(x+ y+)")
     assert e.value.span.start == 8
+
+
+def test_parse_too_deep_is_a_parse_error():
+    term = "inl+(" * 3000 + "x+" + ")" * 3000
+    with pytest.raises(ParseError) as e:
+        parse_term(term)
+    assert e.value.message == "nested too deeply"
+    assert 0 < e.value.span.start < len(term)
+    formula = "(" * 2000 + "a" + ")" * 2000
+    with pytest.raises(ParseError) as e:
+        parse_formula(formula)
+    assert e.value.message == "nested too deeply"
+    assert 0 < e.value.span.start < len(formula)
+
+
+def test_parse_keeps_the_depths_it_reached_before():
+    src = "inl+(" * 950 + "x+" + ")" * 950
+    t = parse_term(src)
+    assert print_term(t) == src
+    assert infer_principal(t).basis.gamma == (("x", MetaVar("A")),)
+    assert normalize(t).term == t
+    assert parse_formula("(" * 200 + "a" + ")" * 200) == Atom("a")
 
 
 @hyp.given(st.integers(0, 5000))

@@ -3,6 +3,7 @@ import hypothesis.strategies as st
 import pytest
 
 from l2int.derivation import height, validate
+from l2int.rewrite import find_redexes, step
 from l2int.syntax import (
     PLUS,
     MINUS,
@@ -17,8 +18,10 @@ from l2int.syntax import (
     Var,
     Verum,
     alpha_eq,
+    check_polarities,
+    term_size,
 )
-from l2int.testkit import GenConfig, gen_derivation
+from l2int.testkit import GenConfig, GenerationFailed, gen_derivation
 from l2int.textio import parse_formula, parse_term, print_formula
 from l2int.typecheck import (
     Clash,
@@ -27,11 +30,18 @@ from l2int.typecheck import (
     TypeScheme,
     UnboundVariable,
     Untypable,
+    UnifyError,
+    _build,
+    _Ctx,
+    _infer,
+    _metavar_order,
+    _unify,
     check,
     infer_principal,
     schemes_equal,
     unify,
 )
+from test_acceptance import REDEX_HEAVY_WEIGHTS
 from conftest import (
     WORKED_FIRST_TERM,
     WORKED_FIRST_TYPE,
@@ -272,3 +282,81 @@ def test_principal_scheme_instantiates_to_checked_type(seed):
     p = infer_principal(d.concl.term)
     s = unify(p.scheme.body, d.concl.type)
     assert s.apply(p.scheme.body) == d.concl.type
+
+
+# ------------------------------------------- check against its former resolution
+
+
+def _reference_check(basis, pol, t, a):
+    """check() resolving types the way it did before it memoised: pin every
+    open metavariable to top in the substitution, then apply the whole
+    substitution at each node.  Returns the derivation and how many
+    metavariables were pinned."""
+    for v in check_polarities(t):
+        raise Untypable(v.message, v.path)
+    if pol is not t.pol:
+        raise TypeMismatch(f"term is {t.pol} but the judgment wants {pol}")
+    cx = _Ctx(seeded=basis)
+    got = _infer(t, (), {}, cx)
+    try:
+        _unify(got, a, cx.subst)
+    except UnifyError as e:
+        raise TypeMismatch(
+            f"term has type {print_formula(cx.subst.apply(got))}, not {print_formula(a)}"
+        ) from e
+    pinned = 0
+    for f in list(cx.node_type.values()) + list(cx.free.values()):
+        for n in _metavar_order([cx.subst.apply(f)]):
+            cx.subst.mapping[n] = Verum()
+            pinned += 1
+    # Node types already resolved leave check's own resolution nothing to do.
+    ground = _Ctx(node_type={p: cx.subst.apply(f) for p, f in cx.node_type.items()})
+    return _build(t, (), basis, ground), pinned
+
+
+def _seeded(count, weights):
+    """The first count derivations of height at most 8 whose end term has
+    at most 60 nodes (larger redex-heavy ones cost up to seconds each)."""
+    out, seed = [], 0
+    while len(out) < count:
+        try:
+            d = gen_derivation(GenConfig(seed=seed, max_height=8, rule_weights=weights))
+        except GenerationFailed:
+            d = None
+        if d is not None and term_size(d.concl.term) <= 60:
+            out.append(d)
+        seed += 1
+    return out
+
+
+@pytest.mark.parametrize("weights", [{}, REDEX_HEAVY_WEIGHTS], ids=["standard", "redex-heavy"])
+def test_check_matches_reference_resolution(weights):
+    judgments = 0
+    pinned = 0
+    for d in _seeded(200, weights):
+        j = d.concl
+        terms = [j.term] + [step(j.term, r) for r in find_redexes(j.term)]
+        for t in terms:
+            want, n = _reference_check(j.basis, j.pol, t, j.type)
+            assert check(j.basis, j.pol, t, j.type) == want
+            judgments += 1
+            pinned += n > 0
+    assert judgments > 350
+    assert pinned > 20
+
+
+def test_check_mismatch_message_matches_reference():
+    raised = 0
+    for d in _seeded(40, {}):
+        j = d.concl
+        for wrong in (Atom("zz"), Imp(j.type, j.type), Or(j.type, Verum())):
+            try:
+                got = check(j.basis, j.pol, j.term, wrong)
+            except TypeMismatch as e:
+                with pytest.raises(TypeMismatch) as ref:
+                    _reference_check(j.basis, j.pol, j.term, wrong)
+                assert str(ref.value) == str(e)
+                raised += 1
+            else:
+                assert got == _reference_check(j.basis, j.pol, j.term, wrong)[0]
+    assert raised > 60
