@@ -36,7 +36,11 @@ def _fmt_path(path: tuple[int, ...]) -> str:
 
 
 def _load_derivation(path: str):
-    return derivation_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DerivationFormatError(f"not UTF-8 text: {e.reason} at byte {e.start}") from e
+    return derivation_from_json(text)
 
 
 def cmd_check(args) -> int:
@@ -208,6 +212,11 @@ def main(argv=None) -> int:
     except FuelExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # Input that parses can still be too deep for the printers and the
+        # recursive traversals behind a command.
+        print("error: nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

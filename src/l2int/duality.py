@@ -39,6 +39,7 @@ from .syntax import (
     Top,
     Var,
     Verum,
+    _once,
 )
 
 
@@ -103,8 +104,12 @@ def dual_term(t: Term) -> Term:
 
 
 def dual_basis(b: Basis) -> Basis:
-    gamma = tuple((n, dual_formula(f)) for n, f in b.delta)
-    delta = tuple((n, dual_formula(f)) for n, f in b.gamma)
+    return _dual_basis(b, dual_formula)
+
+
+def _dual_basis(b: Basis, formula) -> Basis:
+    gamma = tuple((n, formula(f)) for n, f in b.delta)
+    delta = tuple((n, formula(f)) for n, f in b.gamma)
     return Basis(gamma, delta)
 
 
@@ -132,13 +137,20 @@ _SWAPPING_RULES = ("CoImpI", "ImpI_d")
 
 
 def dual_derivation(d: Derivation) -> Derivation:
-    if d.rule not in RULE_DUAL:
-        raise InvalidDerivation(f"unknown rule {d.rule!r}")
-    j = d.concl
-    concl = Judgment(
-        dual_basis(j.basis), j.pol.flip(), dual_term(j.term), dual_formula(j.type)
-    )
-    prems = tuple(dual_derivation(p) for p in d.prems)
-    if d.rule in _SWAPPING_RULES:
-        prems = prems[::-1]
-    return Derivation(RULE_DUAL[d.rule], concl, prems)
+    """The dual of every node.  Each distinct formula is dualized once per
+    call, so formulas the input shares stay shared in the dual."""
+    formula = _once(dual_formula)
+
+    def node(d: Derivation) -> Derivation:
+        if d.rule not in RULE_DUAL:
+            raise InvalidDerivation(f"unknown rule {d.rule!r}")
+        j = d.concl
+        concl = Judgment(
+            _dual_basis(j.basis, formula), j.pol.flip(), dual_term(j.term), formula(j.type)
+        )
+        prems = tuple(node(p) for p in d.prems)
+        if d.rule in _SWAPPING_RULES:
+            prems = prems[::-1]
+        return Derivation(RULE_DUAL[d.rule], concl, prems)
+
+    return node(d)

@@ -9,7 +9,8 @@ case branches) bind one polarity only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 
 class Polarity(enum.Enum):
@@ -31,43 +32,73 @@ MINUS = Polarity.MINUS
 
 
 class Formula:
+    """A formula computes its hash once and keeps it (see `_formula`).
+    Pickling and copying rebuild a formula from its fields, so the kept
+    hash, which depends on the process's string hash salt, never leaves
+    the process."""
+
     __slots__ = ()
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-@dataclass(frozen=True)
+
+def _formula(cls):
+    """`cls` as a frozen dataclass that computes its generated hash, the
+    hash of the tuple of its fields, once per object: formulas are hashed
+    over and over as set members and dict keys, and the generated hash
+    recurses through the whole formula.  The tuple is built without a
+    Python-level call, so a first hash nests no deeper than the generated
+    one did."""
+    cls = dataclass(frozen=True)(cls)
+    names = [f.name for f in fields(cls)]
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(map(getattr, repeat(self), names)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_formula
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_formula
 class Falsum(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_formula
 class Verum(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_formula
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class CoImp(Formula):
     """b -< a: something that proves b while refuting a."""
 
@@ -75,7 +106,7 @@ class CoImp(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class MetaVar(Formula):
     """Placeholder used by type inference; never produced by the parser."""
 
@@ -553,6 +584,24 @@ def check_polarities(t: Term) -> list[PolarityViolation]:
 
     go(t, ())
     return out
+
+
+# ------------------------------------------------------------------ memos
+
+
+def _once(fn):
+    """`fn` computed once per distinct argument for as long as the returned
+    function lives; `fn` must not return None.  A JSON load or dump and a
+    dualization each make their own, so nothing is kept after the call."""
+    seen = {}
+
+    def get(key):
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = fn(key)
+        return value
+
+    return get
 
 
 # ------------------------------------------------------------------- bases

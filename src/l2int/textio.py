@@ -46,6 +46,7 @@ from .syntax import (
     Top,
     Var,
     Verum,
+    _once,
     check_polarities,
 )
 from .derivation import Derivation, Judgment
@@ -455,21 +456,6 @@ def print_basis(b: Basis) -> str:
     delta = ", ".join(f"{n}-: {print_formula(f)}" for n, f in b.delta)
     sep = "; " if delta else ";"
     return f"({gamma}{sep}{delta})"
-
-
-def _once(fn):
-    """`fn` computed once per distinct argument for as long as the returned
-    function lives; `fn` must not return None.  A JSON load or dump makes
-    its own, so nothing is kept after the call."""
-    seen = {}
-
-    def get(key):
-        value = seen.get(key)
-        if value is None:
-            value = seen[key] = fn(key)
-        return value
-
-    return get
 
 
 def derivation_to_obj(d: Derivation) -> dict:

@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+import hypothesis as hyp
+import hypothesis.strategies as st
 
 from l2int.cli import main
 from l2int.derivation import validate
-from l2int.textio import derivation_from_json, derivation_to_json
+from l2int.duality import RULE_DUAL, dual_derivation
+from l2int.testkit import GenConfig, GenerationFailed, gen_derivation
+from l2int.textio import derivation_from_json, derivation_to_json, print_formula, print_term
 from conftest import DATA, load_worked_pair
 
 
@@ -44,6 +53,14 @@ def test_check_malformed_file(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(p))
     assert code == 2
     assert "error" in err
+
+
+def test_check_file_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"rule": "\xe9"}')
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert err == f"{p}: error: not UTF-8 text: invalid continuation byte at byte 10\n"
 
 
 def test_check_missing_file_beats_invalid(tmp_path, capsys):
@@ -165,6 +182,19 @@ def test_normalize_too_deep_term(capsys):
     assert err.startswith("error: line 0, column ")
     assert err.endswith(": nested too deeply\n")
     assert err.count("\n") == 1
+
+
+def test_too_deep_for_a_command_is_one_line(capsys):
+    # Parses, but the inferred type is too deep for print_formula.
+    deep = "inl+(" * 950 + "x+" + ")" * 950
+    code, out, err = run(capsys, "infer", "-e", deep)
+    assert code == 2
+    assert out == ""
+    assert err == "error: nested too deeply\n"
+    for command in ("dualize", "normalize"):
+        code, out, _ = run(capsys, command, "-e", deep)
+        assert code == 0
+        assert out.count("inl") == 950
 
 
 # ----------------------------------------------------------------- dualize
@@ -294,3 +324,163 @@ def test_gen_lines_are_single_json_objects(capsys):
     for line in out.splitlines():
         obj = json.loads(line)
         assert set(obj) == {"rule", "concl", "prems"}
+
+
+# -------------------------------------------------------------------- fuzz
+
+_TERM_TOKENS = [
+    "top", "bot", "abort", "fst", "snd", "inl", "inr", "case", "app", "p1", "p2",
+    "x", "y", "z", "(", ")", "<", ">", "{", "}", ",", ".", "|", "\\", "+", "-", " ", "\n", "?",
+]
+_FORMULA_TOKENS = ["a", "b", "top", "bot", "->", "-<", "&", "|", "(", ")", " ", "\n", "?"]
+
+
+def _valid_derivations():
+    """Derivations, with their duals, whose terms and types are valid CLI input."""
+    ds = list(load_worked_pair())
+    for seed in range(40):
+        try:
+            d = gen_derivation(GenConfig(seed=seed, max_height=4))
+        except GenerationFailed:
+            continue
+        ds += [d, dual_derivation(d)]
+    return ds
+
+
+# Deferred, so that the derivations are generated when a test first draws one.
+_VALID = st.deferred(lambda: st.sampled_from(_valid_derivations()))
+
+
+def _soup(tokens):
+    return st.lists(st.sampled_from(tokens), max_size=24).map("".join)
+
+
+def _near(valid, tokens):
+    """A valid string with a slice replaced by tokens, or left as it is."""
+
+    @st.composite
+    def near(draw):
+        text = draw(valid)
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 6)))
+        return text[:i] + draw(_soup(tokens)) + text[j:]
+
+    return st.one_of(valid, near())
+
+
+_TERMS = st.one_of(
+    _soup(_TERM_TOKENS),
+    st.text(max_size=8),
+    _near(_VALID.map(lambda d: print_term(d.concl.term)), _TERM_TOKENS),
+)
+_FORMULA_TEXTS = st.one_of(
+    _soup(_FORMULA_TOKENS),
+    st.text(max_size=8),
+    _near(_VALID.map(lambda d: print_formula(d.concl.type)), _FORMULA_TOKENS),
+)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.text(max_size=6)
+    | st.sampled_from(["+", "-", *RULE_DUAL])
+    | _TERMS
+    | _FORMULA_TEXTS,
+    lambda sub: st.lists(sub, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["rule", "concl", "prems", "gamma", "delta", "pol", "term", "type", "x"]),
+        sub,
+        max_size=6,
+    ),
+    max_leaves=20,
+)
+
+
+def _places(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _places(value, path + (key,))
+
+
+@st.composite
+def _mutated_derivation(draw):
+    """A valid derivation's JSON object with one value replaced."""
+    obj = json.loads(derivation_to_json(draw(_VALID)))
+    places = list(_places(obj))[1:]
+    *parent, key = places[draw(st.integers(0, len(places) - 1))]
+    target = obj
+    for k in parent:
+        target = target[k]
+    target[key] = draw(_JSON)
+    return obj
+
+
+_FILES = st.one_of(
+    st.binary(max_size=64),
+    _JSON.map(json.dumps),
+    _VALID.map(derivation_to_json),
+    _mutated_derivation().map(json.dumps),
+).map(lambda content: content if isinstance(content, bytes) else content.encode())
+# A file argument is its content; "missing.json" names no file.
+_FILE_ARGS = st.one_of(_FILES, st.just("missing.json"))
+_FUEL = st.lists(st.integers(-2, 40).map(lambda n: ["--fuel", str(n)]), max_size=1)
+
+
+def _flag(flag):
+    return st.lists(st.just([flag]), max_size=1)
+
+
+def _count(n):
+    """Mostly as many arguments as the command takes, sometimes one more or less."""
+    return st.sampled_from([n, n, n, n, n - 1, n + 1])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["check", "infer", "normalize", "dualize", "equal", "sense"]))
+    parts = [[command]]
+
+    # Values are attached to their options, so that argparse does not take
+    # a term that starts with "-" for an option.
+    def term():
+        t = draw(_TERMS)
+        return ["-e" + t] if t else ["-e", t]
+
+    if command in ("check", "sense"):
+        parts += [[draw(_FILE_ARGS)] for _ in range(draw(_count(2)))]
+    elif command == "infer":
+        parts += [term()]
+    elif command == "normalize":
+        parts += [term(), *draw(_FUEL), *draw(_flag("--trace"))]
+    elif command == "dualize":
+        inputs = [term(), ["--formula=" + draw(_FORMULA_TEXTS)], [draw(_FILE_ARGS)]]
+        parts += draw(st.lists(st.sampled_from(inputs), max_size=2, unique_by=id))
+    elif command == "equal":
+        parts += [term() for _ in range(draw(_count(2)))]
+        parts += [*draw(_FUEL), *draw(_flag("--modulo-duality"))]
+    if draw(st.integers(0, 15)) == 0:
+        parts.append(["--bogus"])
+    return [arg for part in parts for arg in part]
+
+
+@hyp.given(_argv())
+@hyp.settings(max_examples=400, deadline=None)
+def test_fuzzed_command_lines_end_with_an_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for i, arg in enumerate(argv):
+            if isinstance(arg, bytes):
+                path = Path(tmp) / f"{i}.json"
+                path.write_bytes(arg)
+                arg = str(path)
+            elif arg == "missing.json":
+                arg = str(Path(tmp) / arg)
+            args.append(arg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(args)
+            except SystemExit as e:  # argparse's usage errors
+                assert e.code == 2
+                return
+    assert code in {0, 1, 2, 3}

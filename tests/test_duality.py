@@ -4,7 +4,7 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
-from l2int.derivation import RULES, height, validate
+from l2int.derivation import RULES, Derivation, Judgment, height, validate
 from l2int.duality import (
     RULE_DUAL,
     InvalidDerivation,
@@ -18,6 +18,7 @@ from l2int.syntax import (
     PLUS,
     Atom,
     Basis,
+    Formula,
     MetaVar,
     MPair,
     Pi1,
@@ -26,9 +27,18 @@ from l2int.syntax import (
     subterm_at,
 )
 from l2int.testkit import GenConfig, gen_basis, gen_derivation, gen_formula
-from l2int.textio import parse_formula, parse_term, print_formula, print_term
+from l2int.textio import (
+    derivation_from_json,
+    derivation_to_json,
+    parse_formula,
+    parse_term,
+    print_formula,
+    print_term,
+)
 from l2int.typecheck import TypeScheme, check, infer_principal, schemes_equal
-from conftest import WORKED_SECOND_TERM, load_worked_pair
+from conftest import DATA, WORKED_SECOND_TERM, load_worked_pair
+from test_acceptance import REDEX_HEAVY_WEIGHTS
+from test_typecheck import _seeded
 
 
 # ---------------------------------------------------------------- formulas
@@ -184,6 +194,66 @@ def test_dual_derivation_rejects_unknown_rule():
     first, _ = load_worked_pair()
     with pytest.raises(InvalidDerivation):
         dual_derivation(dataclasses.replace(first, rule="FooI"))
+
+
+def _reference_dual_derivation(d: Derivation) -> Derivation:
+    """dual_derivation as it was before its per-call memo: every node
+    dualizes its whole basis and its type afresh."""
+    j = d.concl
+    basis = Basis(
+        tuple((n, dual_formula(f)) for n, f in j.basis.delta),
+        tuple((n, dual_formula(f)) for n, f in j.basis.gamma),
+    )
+    concl = Judgment(basis, j.pol.flip(), dual_term(j.term), dual_formula(j.type))
+    prems = tuple(_reference_dual_derivation(p) for p in d.prems)
+    if d.rule in ("CoImpI", "ImpI_d"):
+        prems = prems[::-1]
+    return Derivation(RULE_DUAL[d.rule], concl, prems)
+
+
+def _formula_pairs(d: Derivation, dd: Derivation):
+    """(formula in d, the formula standing for its dual in dd) at every node."""
+    j, k = d.concl, dd.concl
+    yield from zip((f for _, f in j.basis.gamma), (f for _, f in k.basis.delta))
+    yield from zip((f for _, f in j.basis.delta), (f for _, f in k.basis.gamma))
+    yield j.type, k.type
+    prems = dd.prems[::-1] if d.rule in ("CoImpI", "ImpI_d") else dd.prems
+    for p, q in zip(d.prems, prems):
+        yield from _formula_pairs(p, q)
+
+
+def test_dual_derivation_matches_reference():
+    loaded = [derivation_from_json(p.read_text()) for p in sorted(DATA.glob("*.json"))]
+    shared = 0
+    for d in loaded + _seeded(200, {}) + _seeded(200, REDEX_HEAVY_WEIGHTS):
+        dd, want = dual_derivation(d), _reference_dual_derivation(d)
+        assert dd == want
+        assert validate(dd) == []
+        assert dual_derivation(dd) == d
+        assert derivation_to_json(dd) == derivation_to_json(want)
+        dual_of = {}  # id of a formula object in d -> its dual in dd
+        for f, g in _formula_pairs(d, dd):
+            if id(f) in dual_of:
+                assert dual_of[id(f)] is g
+                shared += not isinstance(f, Atom)  # an atom is its own dual
+            else:
+                dual_of[id(f)] = g
+    assert shared > 10_000
+
+
+def _formula_objects(d: Derivation) -> list[Formula]:
+    j = d.concl
+    own = [f for _, f in j.basis.gamma + j.basis.delta] + [j.type]
+    return own + [f for p in d.prems for f in _formula_objects(p)]
+
+
+def test_dual_derivation_memo_lives_for_one_call():
+    for d in _seeded(60, {}):
+        first = dual_derivation(d)
+        again = dual_derivation(derivation_from_json(derivation_to_json(d)))
+        assert again == first
+        kept = {id(f) for f in _formula_objects(first)}
+        assert not any(id(f) in kept for f in _formula_objects(again))
 
 
 @hyp.given(st.integers(0, 3000))

@@ -1,21 +1,36 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields, make_dataclass
+from pathlib import Path
+
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+import l2int
 from l2int.syntax import (
     PLUS,
     MINUS,
     Abort,
+    And,
     App,
     Basis,
     Atom,
     Bot,
     Case,
+    CoImp,
+    Falsum,
+    Formula,
     Fst,
     Imp,
     Inl,
     Lam,
+    MetaVar,
     MPair,
+    Or,
     Pair,
     Pi1,
     Pi2,
@@ -23,6 +38,7 @@ from l2int.syntax import (
     Snd,
     Top,
     Var,
+    Verum,
     alpha_eq,
     alpha_key,
     check_polarities,
@@ -215,3 +231,81 @@ def test_alpha_eq_reflexive_and_size_stable(seed):
     term = gen_derivation(GenConfig(seed=seed, max_height=5)).concl.term
     assert alpha_eq(term, term)
     assert term_size(term) == term_size(substitute(term, "nonexistent", PLUS, Top()))
+
+
+# ---------------------------------------------------------- formula hashes
+
+FORMULA_CLASSES = (Atom, Falsum, Verum, And, Or, Imp, CoImp, MetaVar)
+
+FORMULAS = st.recursive(
+    st.one_of(
+        st.builds(Atom, st.sampled_from(["a", "b", "c"])),
+        st.builds(MetaVar, st.sampled_from(["A", "B"])),
+        st.builds(Falsum),
+        st.builds(Verum),
+    ),
+    lambda sub: st.one_of(*(st.builds(cls, sub, sub) for cls in (And, Or, Imp, CoImp))),
+    max_leaves=16,
+)
+
+# The formula classes as plain frozen dataclasses, whose generated
+# __hash__ recomputes the whole formula's hash on every call.
+_PLAIN = {
+    cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
+    for cls in FORMULA_CLASSES
+}
+
+
+def _rebuilt(f, cls_of=type):
+    """f built again from its fields: equal, sharing no formula object with
+    f, and never hashed."""
+    values = (getattr(f, field.name) for field in fields(f))
+    args = (_rebuilt(v, cls_of) if isinstance(v, Formula) else v for v in values)
+    return cls_of(f)(*args)
+
+
+@hyp.given(FORMULAS)
+def test_formula_hash_is_the_dataclass_hash(f):
+    g = _rebuilt(f)
+    assert g == f and g is not f
+    assert hash(g) == hash(f) == hash(_rebuilt(f, lambda f: _PLAIN[type(f)]))
+
+
+def test_first_hash_of_a_deep_formula():
+    # The generated hash reached about 490 levels at the default recursion
+    # limit; keeping the hash must not lower that.
+    f = Atom("a")
+    for _ in range(400):
+        f = Or(f, Atom("b"))
+    assert hash(f) == hash((f.left, f.right))
+
+
+@hyp.given(FORMULAS)
+def test_formula_pickle_and_copy_leave_the_hash_behind(f):
+    f = _rebuilt(f)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.dumps(f, p) for p in protocols]
+    copies = [vars(copy.copy(f)), vars(copy.deepcopy(f))]
+    hash(f)
+    assert [pickle.dumps(f, p) for p in protocols] == pickled
+    assert [vars(copy.copy(f)), vars(copy.deepcopy(f))] == copies
+    for p in protocols:
+        g = pickle.loads(pickle.dumps(f, p))
+        assert g == f and hash(g) == hash(f)
+        assert {f: p}[g] == p
+
+
+def test_pickled_formula_hashes_afresh_in_another_process():
+    # str hashes are salted per process, so a hash kept from this process
+    # would be wrong in another one.
+    f = And(Atom("a"), Imp(Or(Atom("b"), Verum()), Atom("c")))
+    hash(f)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(l2int.__file__).parents[1])}
+    code = (
+        "import pickle, sys\n"
+        "from l2int.syntax import And, Atom, Imp, Or, Verum\n"
+        "f = pickle.loads(sys.stdin.buffer.read())\n"
+        "sys.exit(hash(f) != hash(And(Atom('a'), Imp(Or(Atom('b'), Verum()), Atom('c')))))\n"
+    )
+    subprocess.run([sys.executable, "-c", code], input=pickle.dumps(f), env=env, check=True)
