@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .derivation import height, validate
@@ -139,9 +140,13 @@ def cmd_sense(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    try:
+        cfg = GenConfig(seed=args.seed, max_height=args.max_height)
+    except ValueError as e:  # --max-height below 0
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     for i in range(args.count):
-        cfg = GenConfig(seed=args.seed + i, max_height=args.max_height)
-        print(derivation_to_json(gen_derivation(cfg), indent=None))
+        print(derivation_to_json(gen_derivation(replace(cfg, seed=args.seed + i)), indent=None))
     return 0
 
 

@@ -66,41 +66,60 @@ def dual_formula(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def dual_term(t: Term) -> Term:
-    match t:
-        case Var(name, pol):
-            return Var(name, pol.flip())
-        case Top():
-            return Bot()
-        case Bot():
-            return Top()
-        case Abort(body, pol):
-            return Abort(dual_term(body), pol.flip())
-        case Pair(left, right, pol):
-            return Pair(dual_term(left), dual_term(right), pol.flip())
-        case Fst(body, pol):
-            return Fst(dual_term(body), pol.flip())
-        case Snd(body, pol):
-            return Snd(dual_term(body), pol.flip())
-        case Inl(body, pol):
-            return Inl(dual_term(body), pol.flip())
-        case Inr(body, pol):
-            return Inr(dual_term(body), pol.flip())
-        case Case(scrutinee, b1, s1, b2, s2, pol):
-            return Case(
-                dual_term(scrutinee), b1, dual_term(s1), b2, dual_term(s2), pol.flip()
-            )
-        case Lam(binder, body, pol):
-            return Lam(binder, dual_term(body), pol.flip())
-        case App(fun, arg, pol):
-            return App(dual_term(fun), dual_term(arg), pol.flip())
-        case MPair(pos, neg, _):
-            return MPair(dual_term(neg), dual_term(pos), t.pol.flip())
-        case Pi1(body):
-            return Pi2(dual_term(body))
-        case Pi2(body):
-            return Pi1(dual_term(body))
-    raise TypeError(f"not a term: {t!r}")
+def _dualizer(duals: dict[int, Term] | None):
+    """dual_term, which given a dict also keeps there the dual of each term
+    object it meets, keyed by the object's id, and returns that again when
+    it meets the object again; the objects must outlive the dict.  Either
+    way it takes one Python frame per nesting level."""
+
+    def dual_term(t: Term) -> Term:
+        if duals is not None:
+            d = duals.get(id(t))
+            if d is not None:
+                return d
+        match t:
+            case Var(name, pol):
+                d = Var(name, pol.flip())
+            case Top():
+                d = Bot()
+            case Bot():
+                d = Top()
+            case Abort(body, pol):
+                d = Abort(dual_term(body), pol.flip())
+            case Pair(left, right, pol):
+                d = Pair(dual_term(left), dual_term(right), pol.flip())
+            case Fst(body, pol):
+                d = Fst(dual_term(body), pol.flip())
+            case Snd(body, pol):
+                d = Snd(dual_term(body), pol.flip())
+            case Inl(body, pol):
+                d = Inl(dual_term(body), pol.flip())
+            case Inr(body, pol):
+                d = Inr(dual_term(body), pol.flip())
+            case Case(scrutinee, b1, s1, b2, s2, pol):
+                d = Case(
+                    dual_term(scrutinee), b1, dual_term(s1), b2, dual_term(s2), pol.flip()
+                )
+            case Lam(binder, body, pol):
+                d = Lam(binder, dual_term(body), pol.flip())
+            case App(fun, arg, pol):
+                d = App(dual_term(fun), dual_term(arg), pol.flip())
+            case MPair(pos, neg, _):
+                d = MPair(dual_term(neg), dual_term(pos), t.pol.flip())
+            case Pi1(body):
+                d = Pi2(dual_term(body))
+            case Pi2(body):
+                d = Pi1(dual_term(body))
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        if duals is not None:
+            duals[id(t)] = d
+        return d
+
+    return dual_term
+
+
+dual_term = _dualizer(None)
 
 
 def dual_basis(b: Basis) -> Basis:
@@ -137,16 +156,18 @@ _SWAPPING_RULES = ("CoImpI", "ImpI_d")
 
 
 def dual_derivation(d: Derivation) -> Derivation:
-    """The dual of every node.  Each distinct formula is dualized once per
-    call, so formulas the input shares stay shared in the dual."""
+    """The dual of every node.  Each distinct formula and each term object
+    is dualized once per call, so formulas and subterms the input shares
+    stay shared in the dual."""
     formula = _once(dual_formula)
+    term = _dualizer({})
 
     def node(d: Derivation) -> Derivation:
         if d.rule not in RULE_DUAL:
             raise InvalidDerivation(f"unknown rule {d.rule!r}")
         j = d.concl
         concl = Judgment(
-            _dual_basis(j.basis, formula), j.pol.flip(), dual_term(j.term), formula(j.type)
+            _dual_basis(j.basis, formula), j.pol.flip(), term(j.term), formula(j.type)
         )
         prems = tuple(node(p) for p in d.prems)
         if d.rule in _SWAPPING_RULES:

@@ -7,14 +7,16 @@ exactly; neither printer ever renames a variable.
 
 Derivations travel as JSON trees: {"rule", "concl", "prems"} with formulas
 and terms embedded as strings in this module's syntax.  A load parses each
-distinct string once and shares the result between the nodes that carry it;
-a dump prints each distinct formula once.
+distinct string once and shares the result between the nodes that carry it,
+and a premise whose term string is its parent's subterm gets that subterm
+object without a parse; a dump prints each distinct formula once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .syntax import (
     PLUS,
@@ -48,6 +50,8 @@ from .syntax import (
     Verum,
     _once,
     check_polarities,
+    children,
+    subterm_at,
 )
 from .derivation import Derivation, Judgment
 
@@ -281,10 +285,16 @@ def print_formula(f: Formula) -> str:
 
 
 def parse_term(src: str) -> Term:
+    return _parse_term(src, {})
+
+
+def _parse_term(src: str, spans: dict[int, SourceSpan]) -> Term:
+    """parse_term, recording in spans where each subterm of the result lies
+    in src, keyed by the subterm's id; a subterm in grouping parentheses
+    gets the span that includes them."""
     p = _Parser(_lex(src, (), "()<>{},.|\\+-"))
-    spans: dict[tuple[int, ...], SourceSpan] = {}
     try:
-        t = _term(p, (), spans)
+        t = _term(p, spans)
         if p.peek().kind != "eof":
             p.fail(f"unexpected {p.peek().text!r} after term")
         violations = check_polarities(t)
@@ -292,7 +302,7 @@ def parse_term(src: str) -> Term:
         raise _too_deep(p) from e
     if violations:
         v = violations[0]
-        raise PolarityError(v.message, spans.get(v.path, spans[()]))
+        raise PolarityError(v.message, spans[id(subterm_at(t, v.path))])
     return t
 
 
@@ -314,12 +324,12 @@ def _binder(p: _Parser) -> tuple[str, Polarity]:
     return t.text, _pol(p)
 
 
-def _term(p: _Parser, path: tuple[int, ...], spans: dict) -> Term:
+def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
     start = p.peek().span
 
     def record(t: Term) -> Term:
         end = p.toks[p.pos - 1].span if p.pos else start
-        spans[path] = SourceSpan(start.start, end.end, start.line, start.column)
+        spans[id(t)] = SourceSpan(start.start, end.end, start.line, start.column)
         return t
 
     tok = p.peek()
@@ -329,7 +339,7 @@ def _term(p: _Parser, path: tuple[int, ...], spans: dict) -> Term:
             p.next()
             name, bpol = _binder(p)
             p.expect(".")
-            body = _term(p, path + (0,), spans)
+            body = _term(p, spans)
             p.expect(")")
             pol = _pol(p)
             if bpol is not pol:
@@ -338,21 +348,21 @@ def _term(p: _Parser, path: tuple[int, ...], spans: dict) -> Term:
                 )
             return record(Lam(name, body, pol))
         p.next()
-        t = _term(p, path, spans)
+        t = _term(p, spans)
         p.expect(")")
         return record(t)
     if tok.kind == "<":
         p.next()
-        left = _term(p, path + (0,), spans)
+        left = _term(p, spans)
         p.expect(",")
-        right = _term(p, path + (1,), spans)
+        right = _term(p, spans)
         p.expect(">")
         return record(Pair(left, right, _pol(p)))
     if tok.kind == "{":
         p.next()
-        pos = _term(p, path + (0,), spans)
+        pos = _term(p, spans)
         p.expect(",")
-        neg = _term(p, path + (1,), spans)
+        neg = _term(p, spans)
         p.expect("}")
         return record(MPair(pos, neg, _pol(p)))
     if tok.kind == "ident":
@@ -367,7 +377,7 @@ def _term(p: _Parser, path: tuple[int, ...], spans: dict) -> Term:
         if word in ("abort", "fst", "snd", "inl", "inr", "p1", "p2"):
             pol = _pol(p)
             p.expect("(")
-            body = _term(p, path + (0,), spans)
+            body = _term(p, spans)
             p.expect(")")
             if word == "p1":
                 if pol is not PLUS:
@@ -382,21 +392,21 @@ def _term(p: _Parser, path: tuple[int, ...], spans: dict) -> Term:
         if word == "app":
             pol = _pol(p)
             p.expect("(")
-            fun = _term(p, path + (0,), spans)
+            fun = _term(p, spans)
             p.expect(",")
-            arg = _term(p, path + (1,), spans)
+            arg = _term(p, spans)
             p.expect(")")
             return record(App(fun, arg, pol))
         if word == "case":
-            scrutinee = _term(p, path + (0,), spans)
+            scrutinee = _term(p, spans)
             p.expect("{")
             b1, q1 = _binder(p)
             p.expect(".")
-            branch1 = _term(p, path + (1,), spans)
+            branch1 = _term(p, spans)
             p.expect("|")
             b2, q2 = _binder(p)
             p.expect(".")
-            branch2 = _term(p, path + (2,), spans)
+            branch2 = _term(p, spans)
             p.expect("}")
             pol = _pol(p)
             if q1 is not scrutinee.pol or q2 is not scrutinee.pol:
@@ -493,11 +503,25 @@ def _is_basis(entries) -> bool:
 def derivation_from_obj(obj) -> Derivation:
     """The derivation a JSON object describes.  Each distinct formula or
     term string is parsed once per call and the result shared by every
-    node that carries it."""
+    node that carries it.  A premise whose term string is the text of one
+    of its parent term's children gets that child object, and its string is
+    not parsed at all; so a valid derivation's term is parsed once, at the
+    root, and every premise's term is its parent's subterm."""
     formula = _once(parse_formula)
-    term = _once(parse_term)
+    spans: dict[int, SourceSpan] = {}  # every parsed subterm's place in its source
+    term = _once(partial(_parse_term, spans=spans))
 
-    def judgment(obj) -> Judgment:
+    def subject(src: str, parent: tuple[Term, str] | None) -> tuple[Term, str]:
+        """The term src stands for, and the string its spans refer to."""
+        if parent is not None:
+            parent_term, parent_src = parent
+            for child in children(parent_term):
+                span = spans[id(child)]
+                if span.end - span.start == len(src) and parent_src.startswith(src, span.start):
+                    return child, parent_src
+        return term(src), src
+
+    def judgment(obj, parent: tuple[Term, str] | None) -> tuple[Judgment, str]:
         if not isinstance(obj, dict):
             raise DerivationFormatError("judgment must be an object")
         for key in ("gamma", "delta"):
@@ -511,12 +535,12 @@ def derivation_from_obj(obj) -> Derivation:
         pol = {"+": PLUS, "-": MINUS}.get(obj["pol"])
         if pol is None:
             raise DerivationFormatError(f"pol must be '+' or '-', not {obj['pol']!r}")
-        t, typ = term(obj["term"]), formula(obj["type"])
+        (t, src), typ = subject(obj["term"], parent), formula(obj["type"])
         if len(gamma) != len(obj["gamma"]) or len(delta) != len(obj["delta"]):
             raise DerivationFormatError("duplicate assumption name in basis")
-        return Judgment(Basis.make(gamma, delta), pol, t, typ)
+        return Judgment(Basis.make(gamma, delta), pol, t, typ), src
 
-    def node(obj) -> Derivation:
+    def node(obj, parent: tuple[Term, str] | None = None) -> Derivation:
         if not isinstance(obj, dict):
             raise DerivationFormatError("derivation must be an object")
         for key in ("rule", "concl", "prems"):
@@ -526,8 +550,9 @@ def derivation_from_obj(obj) -> Derivation:
             raise DerivationFormatError("rule must be a string")
         if not isinstance(obj["prems"], list):
             raise DerivationFormatError("prems must be a list")
-        concl = judgment(obj["concl"])
-        return Derivation(obj["rule"], concl, tuple(node(p) for p in obj["prems"]))
+        concl, src = judgment(obj["concl"], parent)
+        here = (concl.term, src)
+        return Derivation(obj["rule"], concl, tuple(node(p, here) for p in obj["prems"]))
 
     return node(obj)
 

@@ -1,6 +1,8 @@
 from pathlib import Path
 
 from l2int import Basis, PLUS, MINUS, check
+from l2int.derivation import Derivation
+from l2int.syntax import children
 from l2int.textio import derivation_from_json, parse_formula, parse_term
 
 DATA = Path(__file__).parent / "data"
@@ -23,3 +25,12 @@ def build_worked_first():
 
 def build_worked_second():
     return check(Basis(), MINUS, parse_term(WORKED_SECOND_TERM), parse_formula(WORKED_SECOND_TYPE))
+
+
+def premises_share_subterms(d: Derivation) -> bool:
+    """Whether every premise's term is, as an object, one of the children of
+    its parent's term."""
+    kids = children(d.concl.term)
+    return all(
+        any(p.concl.term is c for c in kids) and premises_share_subterms(p) for p in d.prems
+    )

@@ -319,6 +319,13 @@ def test_gen_json_lines_deterministic(capsys):
     assert shifted_out.splitlines() == lines[1:]
 
 
+def test_gen_negative_height_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "gen", "--max-height", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_height must be at least 0\n"
+
+
 def test_gen_lines_are_single_json_objects(capsys):
     _, out, _ = run(capsys, "gen", "--count", "2")
     for line in out.splitlines():
@@ -438,7 +445,9 @@ def _count(n):
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["check", "infer", "normalize", "dualize", "equal", "sense"]))
+    command = draw(
+        st.sampled_from(["check", "infer", "normalize", "dualize", "equal", "sense", "gen"])
+    )
     parts = [[command]]
 
     # Values are attached to their options, so that argparse does not take
@@ -459,6 +468,10 @@ def _argv(draw):
     elif command == "equal":
         parts += [term() for _ in range(draw(_count(2)))]
         parts += [*draw(_FUEL), *draw(_flag("--modulo-duality"))]
+    elif command == "gen":
+        for flag, low, high in [("--seed", -5, 40), ("--max-height", -2, 6), ("--count", -1, 3)]:
+            if draw(st.booleans()):
+                parts.append([flag, str(draw(st.integers(low, high)))])
     if draw(st.integers(0, 15)) == 0:
         parts.append(["--bogus"])
     return [arg for part in parts for arg in part]

@@ -23,6 +23,7 @@ from l2int.syntax import (
     MPair,
     Pi1,
     Pi2,
+    Term,
     Var,
     subterm_at,
 )
@@ -224,8 +225,11 @@ def _formula_pairs(d: Derivation, dd: Derivation):
 
 def test_dual_derivation_matches_reference():
     loaded = [derivation_from_json(p.read_text()) for p in sorted(DATA.glob("*.json"))]
+    seeded = _seeded(200, {}) + _seeded(200, REDEX_HEAVY_WEIGHTS)
+    # Loaded copies share each premise's term with their parent's term.
+    reloaded = [derivation_from_json(derivation_to_json(d)) for d in seeded]
     shared = 0
-    for d in loaded + _seeded(200, {}) + _seeded(200, REDEX_HEAVY_WEIGHTS):
+    for d in loaded + seeded + reloaded:
         dd, want = dual_derivation(d), _reference_dual_derivation(d)
         assert dd == want
         assert validate(dd) == []
@@ -241,10 +245,11 @@ def test_dual_derivation_matches_reference():
     assert shared > 10_000
 
 
-def _formula_objects(d: Derivation) -> list[Formula]:
+def _objects(d: Derivation) -> list[Formula | Term]:
+    """The formula and term objects of every node."""
     j = d.concl
-    own = [f for _, f in j.basis.gamma + j.basis.delta] + [j.type]
-    return own + [f for p in d.prems for f in _formula_objects(p)]
+    own = [f for _, f in j.basis.gamma + j.basis.delta] + [j.type, j.term]
+    return own + [f for p in d.prems for f in _objects(p)]
 
 
 def test_dual_derivation_memo_lives_for_one_call():
@@ -252,8 +257,8 @@ def test_dual_derivation_memo_lives_for_one_call():
         first = dual_derivation(d)
         again = dual_derivation(derivation_from_json(derivation_to_json(d)))
         assert again == first
-        kept = {id(f) for f in _formula_objects(first)}
-        assert not any(id(f) in kept for f in _formula_objects(again))
+        kept = {id(f) for f in _objects(first)}
+        assert not any(id(f) in kept for f in _objects(again))
 
 
 @hyp.given(st.integers(0, 3000))

@@ -1,10 +1,13 @@
+import functools
 import json
+import tracemalloc
 
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
-from l2int.derivation import Derivation, Judgment
+from l2int.derivation import Derivation, Judgment, validate
+from l2int.duality import dual_derivation
 from l2int.syntax import (
     PLUS,
     MINUS,
@@ -29,6 +32,7 @@ from l2int.textio import (
     ParseError,
     PolarityError,
     derivation_from_json,
+    derivation_from_obj,
     derivation_to_json,
     parse_formula,
     parse_term,
@@ -37,7 +41,7 @@ from l2int.textio import (
     print_term,
 )
 from l2int.typecheck import infer_principal
-from conftest import DATA, load_worked_pair
+from conftest import DATA, load_worked_pair, premises_share_subterms
 
 
 # ---------------------------------------------------------------- formulas
@@ -309,7 +313,9 @@ def _rule_count(d: Derivation) -> int:
     return 1 + sum(_rule_count(p) for p in d.prems)
 
 
-def test_derivation_json_matches_reference():
+@functools.cache
+def _corpus() -> tuple[str, ...]:
+    """tests/data/*.json and 200 seeded derivations, as JSON text."""
     texts = [p.read_text() for p in sorted(DATA.glob("*.json"))]
     sizes = []
     for seed in range(200):
@@ -317,7 +323,11 @@ def test_derivation_json_matches_reference():
         sizes.append(_rule_count(d))
         texts.append(json.dumps(_reference_to_obj(d)))
     assert sum(n > 50 for n in sizes) >= 3
-    for text in texts:
+    return tuple(texts)
+
+
+def test_derivation_json_matches_reference():
+    for text in _corpus():
         obj = json.loads(text)
         d = derivation_from_json(text)
         assert d == _reference_from_obj(obj)
@@ -341,3 +351,120 @@ def test_derivation_json_shares_equal_formulas():
     assert any(len(fs) > 1 for fs in loaded.values())
     for fs in loaded.values():
         assert all(f is fs[0] for f in fs)
+
+
+# A load parses a node's term string only when it is not the text of one of
+# its parent term's children; otherwise the premise gets that child object.
+
+
+def test_derivation_json_premises_share_their_parents_subterms():
+    for text in _corpus():
+        d = derivation_from_json(text)
+        assert premises_share_subterms(d)
+        assert premises_share_subterms(dual_derivation(d))
+
+
+def _nodes(obj):
+    yield obj
+    for p in obj["prems"]:
+        yield from _nodes(p)
+
+
+def test_derivation_json_premises_spelled_differently():
+    respellings = [
+        lambda s: f"({s})",
+        lambda s: f" ( {s} )\n",
+        lambda s: s.replace(", ", " ,\n  ").replace("(", "( "),
+    ]
+    for text in _corpus()[:60]:
+        for respell in respellings:
+            for parity in (0, 1):
+                obj = json.loads(text)
+                for i, n in enumerate(_nodes(obj)):
+                    if i % 2 == parity:
+                        n["concl"]["term"] = respell(n["concl"]["term"])
+                assert derivation_from_obj(obj) == _reference_from_obj(obj)
+    # A child in redundant parentheses: its text is "(top+)", not "top+".
+    top = {"rule": "TopI", "concl": {"gamma": [], "delta": [], "pol": "+", "type": "top"}, "prems": []}
+    for parent, prems in [
+        ("<(top+), top+>+", ["top+", "(top+)"]),
+        ("<((top+)), (top+)>+", ["(top+)", "top+"]),
+        ("<top+, top+>+", ["( top+)", "((top+))"]),
+    ]:
+        obj = {
+            "rule": "AndI",
+            "concl": {"gamma": [], "delta": [], "pol": "+", "term": parent, "type": "top & top"},
+            "prems": [top | {"concl": top["concl"] | {"term": p}} for p in prems],
+        }
+        d = derivation_from_obj(obj)
+        assert d == _reference_from_obj(obj)
+        assert validate(d) == []
+
+
+def test_derivation_json_premises_not_subterms_of_their_parent():
+    invalid = 0
+    for text in _corpus()[:40]:
+        root = json.loads(text)
+        for k, n in enumerate(_nodes(root)):
+            if not n["prems"]:
+                continue
+            first = n["prems"][0]["concl"]["term"]
+            flipped = first[:-1] + ("-" if first.endswith("+") else "+")
+            others = ["top+", root["concl"]["term"], n["prems"][-1]["concl"]["term"], flipped]
+            for other in dict.fromkeys(others):
+                obj = json.loads(text)
+                list(_nodes(obj))[k]["prems"][0]["concl"]["term"] = other
+                try:
+                    want = _reference_from_obj(obj)
+                except (ParseError, PolarityError):
+                    continue
+                d = derivation_from_obj(obj)
+                assert d == want
+                assert validate(d) == validate(want)
+                invalid += validate(d) != []
+    assert invalid > 200
+
+
+@pytest.mark.parametrize(
+    "bad", ["app+(x+ y+)", "app+(x+, y-)", "<top+, bot->+", "x", "fst+(", "(\\x+. x+)-", ""]
+)
+def test_derivation_json_premise_parse_errors_unchanged(bad):
+    with pytest.raises((ParseError, PolarityError)) as expected:
+        parse_term(bad)
+    for path in DATA.glob("*.json"):
+        obj = json.loads(path.read_text())
+        for n in list(_nodes(obj))[1:]:
+            n["concl"]["term"] = bad
+            with pytest.raises(expected.type) as got:
+                derivation_from_obj(obj)
+            assert (got.value.message, got.value.span) == (expected.value.message, expected.value.span)
+
+
+def _deep_wide_term(depth: int, name_length: int) -> str:
+    """An inl+ chain of the given depth around a balanced tree of pairs over
+    256 variables with long names: most of the text lies at the bottom."""
+
+    def tree(k: int, i: int) -> str:
+        if k == 0:
+            return f"x{i:0{name_length}d}+"
+        return f"<{tree(k - 1, 2 * i)}, {tree(k - 1, 2 * i + 1)}>+"
+
+    return "inl+(" * depth + tree(8, 0) + ")" * depth
+
+
+def test_derivation_json_load_memory_is_linear():
+    # A slice of the text per subterm would take about depth * length bytes
+    # here (some 170 MB, 880 times the text); the load keeps a few objects
+    # per token and peaks below 30 times the text.
+    term = _deep_wide_term(880, 750)
+    concl = {"gamma": [], "delta": [], "pol": "+", "term": term, "type": "a"}
+    text = json.dumps({"rule": "Hyp+", "concl": concl, "prems": []})
+    assert len(text) > 190_000
+    tracemalloc.start()
+    try:
+        d = derivation_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert print_term(d.concl.term) == term
+    assert peak < 50 * len(text)
