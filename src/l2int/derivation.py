@@ -1,4 +1,4 @@
-"""Derivation trees and their rule-by-rule validation.
+"""Derivation trees, the rule table of 2Int, and rule-by-rule validation.
 
 A judgment reads (gamma; delta) =>p t : A, with p the polarity of the
 subject term t.  Each node names one of the 26 rules (plus the two
@@ -8,6 +8,17 @@ and basis bookkeeping.  Bases are passed whole to every premise; a
 discharging rule may extend the premise basis with exactly the assumption
 it discharges.  Extra unused assumptions are allowed, shadowing one name
 at one polarity with two formulas is not.
+
+`RULE_TABLE` states each rule once, as data: its term constructor, the
+polarity that selects it, its conclusion as a formula pattern over the
+pattern variables A, B and C, and its premises, in the order of the term's
+children, each with its polarity, its pattern and the assumption it
+discharges.  Only the 14 primal rows are written out; the 14 dual rows
+(Hyp- and the `_d` rules) are computed from them, as the Dualization
+Theorem says they may be: polarities flip, patterns dualize, p1 and p2
+trade places and the mixed pair's premises swap.  `validate`,
+`typecheck.check` (as it rebuilds the tree), the generator and
+`dual_derivation` all read this table.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .syntax import (
     Inl,
     Inr,
     Lam,
+    MetaVar,
     MPair,
     Or,
     Pair,
@@ -43,6 +55,9 @@ from .syntax import (
     Var,
     Verum,
     check_polarities,
+    children,
+    dual_formula,
+    metavars_of,
 )
 
 RULES = (
@@ -76,6 +91,145 @@ def height(d: Derivation) -> int:
     return 1 + max((height(p) for p in d.prems), default=0)
 
 
+# ------------------------------------------------------------ the rule table
+
+
+@dataclass(frozen=True)
+class Premise:
+    """pol is None for a case branch, which takes the conclusion's polarity.
+    binds names the term's binder field, with the polarity and the formula
+    of the assumption the premise discharges."""
+
+    pol: Polarity | None
+    type: Formula
+    binds: tuple[str, Polarity, Formula] | None = None
+
+    @property
+    def variables(self) -> set[str]:
+        """The pattern variables of its formula and its discharged one."""
+        discharged = metavars_of(self.binds[2]) if self.binds else set()
+        return metavars_of(self.type) | discharged
+
+
+@dataclass(frozen=True)
+class Rule:
+    """pol is the subject term's polarity, None where the rule allows
+    either (abort and case)."""
+
+    name: str
+    dual: str
+    ctor: type
+    pol: Polarity | None
+    concl: Formula
+    prems: tuple[Premise, ...] = ()
+
+
+# The polarity of an abort, a case or a projection of a mixed pair does
+# not tell its rules apart; its first premise's polarity does.
+_BY_PREMISE = (Abort, Case, Pi1, Pi2)
+
+A, B, C = MetaVar("A"), MetaVar("B"), MetaVar("C")
+
+_PRIMAL = (
+    Rule("Hyp+", "Hyp-", Var, PLUS, A),
+    Rule("TopI", "BotI_d", Top, PLUS, Verum()),
+    Rule("BotE", "TopE_d", Abort, None, C, (Premise(PLUS, Falsum()),)),
+    Rule("AndI", "OrI_d", Pair, PLUS, And(A, B), (Premise(PLUS, A), Premise(PLUS, B))),
+    Rule("AndE1", "OrE_d1", Fst, PLUS, A, (Premise(PLUS, And(A, B)),)),
+    Rule("AndE2", "OrE_d2", Snd, PLUS, B, (Premise(PLUS, And(A, B)),)),
+    Rule("OrI1", "AndI_d1", Inl, PLUS, Or(A, B), (Premise(PLUS, A),)),
+    Rule("OrI2", "AndI_d2", Inr, PLUS, Or(A, B), (Premise(PLUS, B),)),
+    Rule("OrE", "AndE_d", Case, None, C, (
+        Premise(PLUS, Or(A, B)),
+        Premise(None, C, ("binder1", PLUS, A)),
+        Premise(None, C, ("binder2", PLUS, B)),
+    )),
+    Rule("ImpI", "CoImpI_d", Lam, PLUS, Imp(A, B), (Premise(PLUS, B, ("binder", PLUS, A)),)),
+    Rule("ImpE", "CoImpE_d", App, PLUS, B, (Premise(PLUS, Imp(A, B)), Premise(PLUS, A))),
+    Rule("CoImpI", "ImpI_d", MPair, PLUS, CoImp(A, B), (Premise(PLUS, A), Premise(MINUS, B))),
+    Rule("CoImpE1", "ImpE_d2", Pi1, PLUS, A, (Premise(PLUS, CoImp(A, B)),)),
+    Rule("CoImpE2", "ImpE_d1", Pi2, MINUS, B, (Premise(PLUS, CoImp(A, B)),)),
+)
+
+_DUAL_CTOR = {Top: Bot, Bot: Top, Pi1: Pi2, Pi2: Pi1}
+
+
+def dual_premises(rule: Rule, prems: tuple) -> tuple:
+    """prems, one per premise of rule, in the order of the dual rule's
+    premises: the components of a mixed pair swap under duality."""
+    return prems[::-1] if rule.ctor is MPair else prems
+
+
+def _flip(pol: Polarity | None) -> Polarity | None:
+    return None if pol is None else pol.flip()
+
+
+def _dual_rule(r: Rule) -> Rule:
+    def premise(p: Premise) -> Premise:
+        binds = p.binds and (p.binds[0], p.binds[1].flip(), dual_formula(p.binds[2]))
+        return Premise(_flip(p.pol), dual_formula(p.type), binds)
+
+    prems = dual_premises(r, tuple(map(premise, r.prems)))
+    ctor = _DUAL_CTOR.get(r.ctor, r.ctor)
+    return Rule(r.dual, r.name, ctor, _flip(r.pol), dual_formula(r.concl), prems)
+
+
+RULE_TABLE: dict[str, Rule] = {r.name: r for p in _PRIMAL for r in (p, _dual_rule(p))}
+
+# Each constructor's rules: the one selected by +, then the one by -.
+_BY_CTOR: dict[type, list[Rule | None]] = {}
+for _r in RULE_TABLE.values():
+    _selector = _r.prems[0].pol if _r.ctor in _BY_PREMISE else _r.pol
+    _BY_CTOR.setdefault(_r.ctor, [None, None])[_selector is MINUS] = _r
+
+
+def rule_of(t: Term) -> Rule:
+    """The one rule whose conclusion can have subject t."""
+    c = type(t)
+    return _BY_CTOR[c][(children(t)[0].pol if c in _BY_PREMISE else t.pol) is MINUS]
+
+
+def match_pattern(pattern: Formula, f: Formula, env: dict[str, Formula]) -> bool:
+    """Whether f is an instance of pattern under env, binding in env the
+    pattern variables env leaves open.  Both sides of a connective are
+    matched, so a mismatch on one side still binds the variables of the
+    other."""
+    if isinstance(pattern, MetaVar):
+        held = env.setdefault(pattern.name, f)
+        return held is f or held == f
+    if type(f) is not type(pattern):
+        return False
+    if isinstance(pattern, (Verum, Falsum)):
+        return True
+    left = match_pattern(pattern.left, f.left, env)
+    return match_pattern(pattern.right, f.right, env) and left
+
+
+def instantiate(pattern: Formula, env: dict[str, Formula], fresh=None) -> Formula:
+    """pattern under env; fresh() makes each variable env leaves open,
+    left to right."""
+    if isinstance(pattern, MetaVar):
+        got = env.get(pattern.name)
+        if got is None:
+            got = env[pattern.name] = fresh()
+        return got
+    if isinstance(pattern, (Verum, Falsum)):
+        return pattern
+    left = instantiate(pattern.left, env, fresh)
+    return type(pattern)(left, instantiate(pattern.right, env, fresh))
+
+
+def assemble(rule: Rule, parts: list, pol: Polarity) -> Term:
+    """The term of rule from its children, each binder name standing just
+    before the child it scopes, and its polarity."""
+    if rule.ctor in (Pi1, Pi2, Top, Bot):
+        return rule.ctor(*parts)
+    return rule.ctor(*parts, pol)
+
+
+# --------------------------------------------------------------- validation
+
+
 @dataclass(frozen=True)
 class RuleViolation:
     path: tuple[int, ...]
@@ -92,236 +246,69 @@ def validate(d: Derivation) -> list[RuleViolation]:
 
 
 def _validate(d: Derivation, path: tuple[int, ...], out: list[RuleViolation]) -> None:
+    """Checks d's node against its row.  It does not descend when the node
+    does not fit the row's shape, or when a premise's formula leaves a
+    variable open that a later premise needs."""
     bad = lambda msg: out.append(RuleViolation(path, msg))
-    j = d.concl
-
-    if d.rule not in RULES:
+    j, t = d.concl, d.concl.term
+    rule = RULE_TABLE.get(d.rule)
+    if rule is None:
         bad(f"unknown rule {d.rule!r}")
         return
-    if j.pol is not j.term.pol:
+    if j.pol is not t.pol:
         bad(f"conclusion polarity {j.pol} does not match its term")
-
-    def prem_basis_ok(i: int, discharged: tuple[str, Polarity, Formula] | None) -> None:
-        pb, cb = d.prems[i].concl.basis, j.basis
-        extra_g = set(pb.gamma) - set(cb.gamma)
-        extra_d = set(pb.delta) - set(cb.delta)
-        if discharged is not None:
-            name, pol, formula = discharged
-            held = cb.lookup(name, pol)
-            if held is not None and held != formula:
-                bad(f"premise {i} discharges {name}{pol} already assumed at another formula")
-                return
-            allowed = {(name, formula)}
-            if pol is PLUS:
-                extra_g -= allowed
-            else:
-                extra_d -= allowed
-        if extra_g or extra_d:
-            names = ", ".join(sorted(n for n, _ in extra_g | extra_d))
-            bad(f"premise {i} assumes more than the conclusion allows: {names}")
-        if not (set(cb.gamma) <= set(pb.gamma) and set(cb.delta) <= set(pb.delta)):
-            bad(f"premise {i} drops assumptions from the conclusion's basis")
-
-    def prem(i: int, pol: Polarity, term: Term, typ: Formula | None,
-             discharged: tuple[str, Polarity, Formula] | None = None) -> Formula:
-        pj = d.prems[i].concl
-        if pj.pol is not pol:
-            bad(f"premise {i} must be {pol}, is {pj.pol}")
-        if pj.term != term:
+    if len(d.prems) != len(rule.prems):
+        bad(f"{d.rule} takes {len(rule.prems)} premises, found {len(d.prems)}")
+        return
+    if rule_of(t) is not rule:
+        bad(f"{d.rule} cannot conclude a {type(t).__name__} term with these polarities")
+        return
+    env: dict[str, Formula] = {}
+    if not match_pattern(rule.concl, j.type, env):
+        bad(f"{d.rule} cannot conclude this formula")
+        return
+    if isinstance(t, Var) and j.basis.lookup(t.name, rule.pol) != j.type:
+        bad(f"{t.name}{rule.pol} is not assumed at {j.type} in the basis")
+    kids = children(t)
+    for i, (p, prem) in enumerate(zip(rule.prems, d.prems)):
+        pj = prem.concl
+        want = j.pol if p.pol is None else p.pol
+        if pj.pol is not want:
+            bad(f"premise {i} must be {want}, is {pj.pol}")
+        if pj.term != kids[i]:
             bad(f"premise {i} subject must be the matching subterm of the conclusion")
-        if typ is not None and pj.type != typ:
+        matched = match_pattern(p.type, pj.type, env)
+        if not matched:
             bad(f"premise {i} must conclude the matching formula")
-        prem_basis_ok(i, discharged)
-        return pj.type
-
-    def arity(n: int) -> bool:
-        if len(d.prems) != n:
-            bad(f"{d.rule} takes {n} premises, found {len(d.prems)}")
-            return False
-        return True
-
-    t, a = j.term, j.type
-    ok_shape = True
-    match d.rule:
-        case "Hyp+" | "Hyp-":
-            want = PLUS if d.rule == "Hyp+" else MINUS
-            if not arity(0):
-                return
-            if not isinstance(t, Var) or j.pol is not want:
-                bad(f"{d.rule} concludes a {want} variable")
-            elif j.basis.lookup(t.name, want) != a:
-                bad(f"{t.name}{want} is not assumed at {a} in the basis")
-        case "TopI":
-            if arity(0) and not (isinstance(t, Top) and a == Verum()):
-                bad("TopI concludes top+ : top")
-        case "BotI_d":
-            if arity(0) and not (isinstance(t, Bot) and a == Falsum()):
-                bad("BotI_d concludes bot- : bot")
-        case "BotE":
-            if not (isinstance(t, Abort) and arity(1)):
-                bad("BotE concludes an abort term from one premise")
-                return
-            prem(0, PLUS, t.body, Falsum())
-        case "TopE_d":
-            if not (isinstance(t, Abort) and arity(1)):
-                bad("TopE_d concludes an abort term from one premise")
-                return
-            prem(0, MINUS, t.body, Verum())
-        case "AndI":
-            if not (isinstance(t, Pair) and j.pol is PLUS and isinstance(a, And) and arity(2)):
-                bad("AndI concludes <s, t>+ : A & B from two premises")
-                return
-            prem(0, PLUS, t.left, a.left)
-            prem(1, PLUS, t.right, a.right)
-        case "OrI_d":
-            if not (isinstance(t, Pair) and j.pol is MINUS and isinstance(a, Or) and arity(2)):
-                bad("OrI_d concludes <s, t>- : A | B from two premises")
-                return
-            prem(0, MINUS, t.left, a.left)
-            prem(1, MINUS, t.right, a.right)
-        case "AndE1" | "AndE2":
-            if not (isinstance(t, Fst | Snd) and j.pol is PLUS and arity(1)):
-                bad(f"{d.rule} concludes a + projection from one premise")
-                return
-            if d.rule == "AndE1" and not isinstance(t, Fst):
-                bad("AndE1 concludes fst")
-            if d.rule == "AndE2" and not isinstance(t, Snd):
-                bad("AndE2 concludes snd")
-            got = prem(0, PLUS, t.body, None)
-            if not isinstance(got, And):
-                bad("premise 0 must conclude a conjunction")
-            elif (got.left if d.rule == "AndE1" else got.right) != a:
-                bad("conclusion must be the matching conjunct")
-        case "OrE_d1" | "OrE_d2":
-            if not (isinstance(t, Fst | Snd) and j.pol is MINUS and arity(1)):
-                bad(f"{d.rule} concludes a - projection from one premise")
-                return
-            if d.rule == "OrE_d1" and not isinstance(t, Fst):
-                bad("OrE_d1 concludes fst")
-            if d.rule == "OrE_d2" and not isinstance(t, Snd):
-                bad("OrE_d2 concludes snd")
-            got = prem(0, MINUS, t.body, None)
-            if not isinstance(got, Or):
-                bad("premise 0 must conclude a disjunction")
-            elif (got.left if d.rule == "OrE_d1" else got.right) != a:
-                bad("conclusion must be the matching disjunct")
-        case "OrI1" | "OrI2":
-            if not (isinstance(t, Inl | Inr) and j.pol is PLUS and isinstance(a, Or) and arity(1)):
-                bad(f"{d.rule} concludes a + injection : A | B from one premise")
-                return
-            if d.rule == "OrI1" and not isinstance(t, Inl):
-                bad("OrI1 concludes inl")
-            if d.rule == "OrI2" and not isinstance(t, Inr):
-                bad("OrI2 concludes inr")
-            prem(0, PLUS, t.body, a.left if d.rule == "OrI1" else a.right)
-        case "AndI_d1" | "AndI_d2":
-            if not (isinstance(t, Inl | Inr) and j.pol is MINUS and isinstance(a, And) and arity(1)):
-                bad(f"{d.rule} concludes a - injection : A & B from one premise")
-                return
-            if d.rule == "AndI_d1" and not isinstance(t, Inl):
-                bad("AndI_d1 concludes inl")
-            if d.rule == "AndI_d2" and not isinstance(t, Inr):
-                bad("AndI_d2 concludes inr")
-            prem(0, MINUS, t.body, a.left if d.rule == "AndI_d1" else a.right)
-        case "ImpI":
-            if not (isinstance(t, Lam) and j.pol is PLUS and isinstance(a, Imp) and arity(1)):
-                bad("ImpI concludes a + lambda : A -> B from one premise")
-                return
-            prem(0, PLUS, t.body, a.right, discharged=(t.binder, PLUS, a.left))
-        case "CoImpI_d":
-            if not (isinstance(t, Lam) and j.pol is MINUS and isinstance(a, CoImp) and arity(1)):
-                bad("CoImpI_d concludes a - lambda : B -< A from one premise")
-                return
-            prem(0, MINUS, t.body, a.left, discharged=(t.binder, MINUS, a.right))
-        case "ImpE":
-            if not (isinstance(t, App) and j.pol is PLUS and arity(2)):
-                bad("ImpE concludes a + application from two premises")
-                return
-            got = prem(0, PLUS, t.fun, None)
-            if not isinstance(got, Imp):
-                bad("premise 0 must conclude an implication")
-                return
-            if got.right != a:
-                bad("conclusion must be the implication's consequent")
-            prem(1, PLUS, t.arg, got.left)
-        case "CoImpE_d":
-            if not (isinstance(t, App) and j.pol is MINUS and arity(2)):
-                bad("CoImpE_d concludes a - application from two premises")
-                return
-            got = prem(0, MINUS, t.fun, None)
-            if not isinstance(got, CoImp):
-                bad("premise 0 must conclude a co-implication")
-                return
-            if got.left != a:
-                bad("conclusion must be the co-implication's proved part")
-            prem(1, MINUS, t.arg, got.right)
-        case "ImpI_d":
-            if not (isinstance(t, MPair) and j.pol is MINUS and isinstance(a, Imp) and arity(2)):
-                bad("ImpI_d concludes a - mixed pair : A -> B from two premises")
-                return
-            prem(0, PLUS, t.pos, a.left)
-            prem(1, MINUS, t.neg, a.right)
-        case "CoImpI":
-            if not (isinstance(t, MPair) and j.pol is PLUS and isinstance(a, CoImp) and arity(2)):
-                bad("CoImpI concludes a + mixed pair : B -< A from two premises")
-                return
-            prem(0, PLUS, t.pos, a.left)
-            prem(1, MINUS, t.neg, a.right)
-        case "ImpE_d1":
-            if not (isinstance(t, Pi1) and arity(1)):
-                bad("ImpE_d1 concludes p1 from one premise")
-                return
-            got = prem(0, MINUS, t.body, None)
-            if not isinstance(got, Imp):
-                bad("premise 0 must conclude an implication")
-            elif got.left != a:
-                bad("conclusion must be the implication's antecedent")
-        case "ImpE_d2":
-            if not (isinstance(t, Pi2) and arity(1)):
-                bad("ImpE_d2 concludes p2 from one premise")
-                return
-            got = prem(0, MINUS, t.body, None)
-            if not isinstance(got, Imp):
-                bad("premise 0 must conclude an implication")
-            elif got.right != a:
-                bad("conclusion must be the implication's consequent")
-        case "CoImpE1":
-            if not (isinstance(t, Pi1) and arity(1)):
-                bad("CoImpE1 concludes p1 from one premise")
-                return
-            got = prem(0, PLUS, t.body, None)
-            if not isinstance(got, CoImp):
-                bad("premise 0 must conclude a co-implication")
-            elif got.left != a:
-                bad("conclusion must be the co-implication's proved part")
-        case "CoImpE2":
-            if not (isinstance(t, Pi2) and arity(1)):
-                bad("CoImpE2 concludes p2 from one premise")
-                return
-            got = prem(0, PLUS, t.body, None)
-            if not isinstance(got, CoImp):
-                bad("premise 0 must conclude a co-implication")
-            elif got.right != a:
-                bad("conclusion must be the co-implication's refuted part")
-        case "OrE" | "AndE_d":
-            want_q = PLUS if d.rule == "OrE" else MINUS
-            if not (isinstance(t, Case) and arity(3)):
-                bad(f"{d.rule} concludes a case term from three premises")
-                return
-            if t.scrutinee.pol is not want_q:
-                bad(f"{d.rule} needs a {want_q} scrutinee")
-                return
-            got = prem(0, want_q, t.scrutinee, None)
-            shape = Or if d.rule == "OrE" else And
-            if not isinstance(got, shape):
-                bad(f"premise 0 must conclude a {'disjunction' if shape is Or else 'conjunction'}")
-                return
-            prem(1, j.pol, t.branch1, a, discharged=(t.binder1, want_q, got.left))
-            prem(2, j.pol, t.branch2, a, discharged=(t.binder2, want_q, got.right))
-        case _:
-            ok_shape = False
-
-    if not ok_shape:
-        bad(f"unknown rule {d.rule!r}")
+        discharged = None
+        if p.binds is not None:
+            field, q, formula = p.binds
+            discharged = getattr(t, field), q, instantiate(formula, env)
+        _check_basis(i, pj.basis, j.basis, discharged, bad)
+        if not matched and any(not q.variables <= env.keys() for q in rule.prems[i + 1:]):
+            return
     for i, p in enumerate(d.prems):
         _validate(p, path + (i,), out)
+
+
+def _check_basis(i: int, pb: Basis, cb: Basis, discharged, bad) -> None:
+    if discharged is None and pb == cb:
+        return
+    extra_g = set(pb.gamma) - set(cb.gamma)
+    extra_d = set(pb.delta) - set(cb.delta)
+    if discharged is not None:
+        name, pol, formula = discharged
+        held = cb.lookup(name, pol)
+        if held is not None and held != formula:
+            bad(f"premise {i} discharges {name}{pol} already assumed at another formula")
+            return
+        allowed = {(name, formula)}
+        if pol is PLUS:
+            extra_g -= allowed
+        else:
+            extra_d -= allowed
+    if extra_g or extra_d:
+        names = ", ".join(sorted(n for n, _ in extra_g | extra_d))
+        bad(f"premise {i} assumes more than the conclusion allows: {names}")
+    if not (set(cb.gamma) <= set(pb.gamma) and set(cb.delta) <= set(pb.delta)):
+        bad(f"premise {i} drops assumptions from the conclusion's basis")

@@ -11,26 +11,18 @@ on the nose, not just up to alpha.
 
 from __future__ import annotations
 
-from .derivation import Derivation, Judgment
+from .derivation import RULE_TABLE, Derivation, Judgment, dual_premises
 from .syntax import (
     Abort,
-    And,
     App,
-    Atom,
     Basis,
     Bot,
     Case,
-    CoImp,
-    Falsum,
-    Formula,
     Fst,
-    Imp,
     Inl,
     Inr,
     Lam,
-    MetaVar,
     MPair,
-    Or,
     Pair,
     Pi1,
     Pi2,
@@ -38,32 +30,13 @@ from .syntax import (
     Term,
     Top,
     Var,
-    Verum,
     _once,
+    dual_formula,
 )
 
 
 class InvalidDerivation(Exception):
     pass
-
-
-def dual_formula(f: Formula) -> Formula:
-    match f:
-        case Atom() | MetaVar():
-            return f
-        case Verum():
-            return Falsum()
-        case Falsum():
-            return Verum()
-        case And(a, b):
-            return Or(dual_formula(a), dual_formula(b))
-        case Or(a, b):
-            return And(dual_formula(a), dual_formula(b))
-        case Imp(a, b):
-            return CoImp(dual_formula(b), dual_formula(a))
-        case CoImp(a, b):
-            return Imp(dual_formula(b), dual_formula(a))
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def _dualizer(duals: dict[int, Term] | None):
@@ -132,27 +105,7 @@ def _dual_basis(b: Basis, formula) -> Basis:
     return Basis(gamma, delta)
 
 
-RULE_DUAL = {
-    "Hyp+": "Hyp-",
-    "TopI": "BotI_d",
-    "BotE": "TopE_d",
-    "AndI": "OrI_d",
-    "AndE1": "OrE_d1",
-    "AndE2": "OrE_d2",
-    "AndI_d1": "OrI1",
-    "AndI_d2": "OrI2",
-    "AndE_d": "OrE",
-    "ImpI": "CoImpI_d",
-    "ImpE": "CoImpE_d",
-    "ImpI_d": "CoImpI",
-    "ImpE_d1": "CoImpE2",
-    "ImpE_d2": "CoImpE1",
-}
-RULE_DUAL.update({v: k for k, v in RULE_DUAL.items()})
-
-# The mixed-pair components swap under the term map, so the two rules
-# that introduce a mixed pair swap their premises too.
-_SWAPPING_RULES = ("CoImpI", "ImpI_d")
+RULE_DUAL = {name: rule.dual for name, rule in RULE_TABLE.items()}
 
 
 def dual_derivation(d: Derivation) -> Derivation:
@@ -163,15 +116,14 @@ def dual_derivation(d: Derivation) -> Derivation:
     term = _dualizer({})
 
     def node(d: Derivation) -> Derivation:
-        if d.rule not in RULE_DUAL:
+        rule = RULE_TABLE.get(d.rule)
+        if rule is None:
             raise InvalidDerivation(f"unknown rule {d.rule!r}")
         j = d.concl
         concl = Judgment(
             _dual_basis(j.basis, formula), j.pol.flip(), term(j.term), formula(j.type)
         )
-        prems = tuple(node(p) for p in d.prems)
-        if d.rule in _SWAPPING_RULES:
-            prems = prems[::-1]
-        return Derivation(RULE_DUAL[d.rule], concl, prems)
+        prems = dual_premises(rule, tuple(node(p) for p in d.prems))
+        return Derivation(rule.dual, concl, prems)
 
     return node(d)

@@ -137,6 +137,27 @@ def is_ground(f: Formula) -> bool:
     return not metavars_of(f)
 
 
+def dual_formula(f: Formula) -> Formula:
+    """The dual formula: top and bot swap, conjunction and disjunction swap,
+    and the two arrows swap with their sides reversed."""
+    match f:
+        case Atom() | MetaVar():
+            return f
+        case Verum():
+            return Falsum()
+        case Falsum():
+            return Verum()
+        case And(a, b):
+            return Or(dual_formula(a), dual_formula(b))
+        case Or(a, b):
+            return And(dual_formula(a), dual_formula(b))
+        case Imp(a, b):
+            return CoImp(dual_formula(b), dual_formula(a))
+        case CoImp(a, b):
+            return Imp(dual_formula(b), dual_formula(a))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 # ------------------------------------------------------------------- terms
 
 
@@ -437,47 +458,12 @@ def substitute(t: Term, name: str, pol: Polarity, s: Term) -> Term:
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    """Structural equality up to renaming of bound variables."""
-
-    def go(t: Term, u: Term, env_t: dict, env_u: dict, depth: int) -> bool:
-        if type(t) is not type(u) or t.pol is not u.pol:
-            return False
-        match t, u:
-            case Var(n1, p), Var(n2, _):
-                k1, k2 = env_t.get((n1, p)), env_u.get((n2, p))
-                if k1 is None and k2 is None:
-                    return n1 == n2
-                return k1 == k2
-            case Lam(b1, body1, p), Lam(b2, body2, _):
-                e1 = dict(env_t)
-                e2 = dict(env_u)
-                e1[(b1, p)] = depth
-                e2[(b2, p)] = depth
-                return go(body1, body2, e1, e2, depth + 1)
-            case Case(r1, x1, s1, y1, u1, _), Case(r2, x2, s2, y2, u2, _):
-                q1, q2 = r1.pol, r2.pol
-                if q1 is not q2:
-                    return False
-                if not go(r1, r2, env_t, env_u, depth):
-                    return False
-                e1 = dict(env_t)
-                e2 = dict(env_u)
-                e1[(x1, q1)] = depth
-                e2[(x2, q2)] = depth
-                if not go(s1, s2, e1, e2, depth + 1):
-                    return False
-                e1 = dict(env_t)
-                e2 = dict(env_u)
-                e1[(y1, q1)] = depth
-                e2[(y2, q2)] = depth
-                return go(u1, u2, e1, e2, depth + 1)
-            case _:
-                ct, cu = children(t), children(u)
-                return len(ct) == len(cu) and all(
-                    go(a, b, env_t, env_u, depth) for a, b in zip(ct, cu)
-                )
-
-    return go(t, u, {}, {}, 0)
+    """Structural equality up to renaming of bound variables.  One object,
+    or roots of another constructor or polarity (the keys start with
+    both), settle the answer without building keys."""
+    if t is u:
+        return True
+    return type(t) is type(u) and t.pol is u.pol and alpha_key(t) == alpha_key(u)
 
 
 def alpha_key(t: Term):
@@ -526,63 +512,64 @@ class PolarityViolation:
 
 
 def check_polarities(t: Term) -> list[PolarityViolation]:
-    """All structural polarity violations in t; empty means well formed."""
+    """All structural polarity violations in t; empty means well formed.
+    The path to the node being checked is one list, made a tuple only for
+    a violation."""
     out: list[PolarityViolation] = []
+    path: list[int] = []
 
-    def bad(path, msg):
-        out.append(PolarityViolation(path, msg))
+    def bad(msg):
+        out.append(PolarityViolation(tuple(path), msg))
 
-    def go(t: Term, path: tuple[int, ...]) -> None:
+    def go(t: Term) -> None:
         match t:
             case Var() | Top() | Bot():
-                pass
-            case Abort(body, _):
-                go(body, path + (0,))
+                return
             case Pair(left, right, pol):
                 if left.pol is not pol:
-                    bad(path, f"pair component 1 is {left.pol}, pair is {pol}")
+                    bad(f"pair component 1 is {left.pol}, pair is {pol}")
                 if right.pol is not pol:
-                    bad(path, f"pair component 2 is {right.pol}, pair is {pol}")
-                go(left, path + (0,))
-                go(right, path + (1,))
+                    bad(f"pair component 2 is {right.pol}, pair is {pol}")
+                kids = left, right
             case Fst(body, pol) | Snd(body, pol):
                 if body.pol is not pol:
-                    bad(path, f"projection body is {body.pol}, projection is {pol}")
-                go(body, path + (0,))
+                    bad(f"projection body is {body.pol}, projection is {pol}")
+                kids = (body,)
             case Inl(body, pol) | Inr(body, pol):
                 if body.pol is not pol:
-                    bad(path, f"injection body is {body.pol}, injection is {pol}")
-                go(body, path + (0,))
+                    bad(f"injection body is {body.pol}, injection is {pol}")
+                kids = (body,)
             case Case(scrutinee, _, branch1, _, branch2, pol):
                 if branch1.pol is not pol:
-                    bad(path, f"branch 1 is {branch1.pol}, case is {pol}")
+                    bad(f"branch 1 is {branch1.pol}, case is {pol}")
                 if branch2.pol is not pol:
-                    bad(path, f"branch 2 is {branch2.pol}, case is {pol}")
-                go(scrutinee, path + (0,))
-                go(branch1, path + (1,))
-                go(branch2, path + (2,))
+                    bad(f"branch 2 is {branch2.pol}, case is {pol}")
+                kids = scrutinee, branch1, branch2
             case Lam(_, body, pol):
                 if body.pol is not pol:
-                    bad(path, f"lambda body is {body.pol}, lambda is {pol}")
-                go(body, path + (0,))
+                    bad(f"lambda body is {body.pol}, lambda is {pol}")
+                kids = (body,)
             case App(fun, arg, pol):
                 if fun.pol is not pol:
-                    bad(path, f"applied term is {fun.pol}, application is {pol}")
+                    bad(f"applied term is {fun.pol}, application is {pol}")
                 if arg.pol is not pol:
-                    bad(path, f"argument is {arg.pol}, application is {pol}")
-                go(fun, path + (0,))
-                go(arg, path + (1,))
+                    bad(f"argument is {arg.pol}, application is {pol}")
+                kids = fun, arg
             case MPair(pos, neg, _):
                 if pos.pol is not PLUS:
-                    bad(path, "mixed pair component 1 must be +")
+                    bad("mixed pair component 1 must be +")
                 if neg.pol is not MINUS:
-                    bad(path, "mixed pair component 2 must be -")
-                go(pos, path + (0,))
-                go(neg, path + (1,))
-            case Pi1(body) | Pi2(body):
-                go(body, path + (0,))
+                    bad("mixed pair component 2 must be -")
+                kids = pos, neg
+            case Abort(body) | Pi1(body) | Pi2(body):
+                kids = (body,)
+        path.append(0)
+        for c in kids:
+            go(c)
+            path[-1] += 1
+        path.pop()
 
-    go(t, ())
+    go(t)
     return out
 
 

@@ -12,44 +12,31 @@ generated terms never shadow and never capture.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
-from .derivation import Derivation
+from .derivation import RULE_TABLE, RULES, Derivation, Rule, assemble, instantiate
 from .rewrite import find_redexes, step
 from .syntax import (
     PLUS,
     MINUS,
-    Abort,
     And,
-    App,
     Atom,
     Basis,
-    Bot,
-    Case,
     CoImp,
     Falsum,
     Formula,
-    Fst,
     Imp,
-    Inl,
-    Inr,
-    Lam,
     MetaVar,
-    MPair,
     Or,
-    Pair,
-    Pi1,
-    Pi2,
     Polarity,
-    Snd,
     Term,
-    Top,
     Var,
     Verum,
     alpha_key,
 )
-from .typecheck import Substitution, UnifyError, _metavar_order, _unify, check
+from .typecheck import Substitution, UnifyError, _unify, check
 
 
 class GenerationFailed(Exception):
@@ -68,6 +55,11 @@ class GenConfig:
     rule_weights: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, weight in self.rule_weights.items():
+            if name not in RULES:
+                raise ValueError(f"rule_weights names no rule {name!r}")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"the weight of {name} must be finite and not negative")
         if not self.atom_pool:
             raise ValueError("atom_pool must not be empty")
         if self.max_height < 0:
@@ -90,6 +82,21 @@ DEFAULT_WEIGHTS = {
 
 _MAX_NODES = 4000
 _ATTEMPTS = 8
+
+# The order in which go() offers the rules that fit a goal; a seed's
+# derivation depends on it.
+_OFFER_ORDER = (
+    "Hyp+", "Hyp-", "BotE", "TopE_d",
+    "AndE1", "AndE2", "ImpE", "ImpE_d1", "CoImpE1",
+    "OrE_d1", "OrE_d2", "CoImpE_d", "ImpE_d2", "CoImpE2",
+    "OrE", "AndE_d",
+    "TopI", "AndI", "OrI1", "OrI2", "ImpI", "CoImpI",
+    "BotI_d", "OrI_d", "AndI_d1", "AndI_d2", "ImpI_d", "CoImpI_d",
+)
+_OFFERS = {
+    pol: tuple(RULE_TABLE[n] for n in _OFFER_ORDER if RULE_TABLE[n].pol in (pol, None))
+    for pol in (PLUS, MINUS)
+}
 
 
 class _Gen:
@@ -140,149 +147,49 @@ class _Gen:
         if budget <= 0:
             return self.hyp(goal, pol, scope)
         g = self.subst.walk(goal)
-
-        def matches(cls) -> bool:
-            return isinstance(g, MetaVar | cls)
-
-        moves = ["Hyp+" if pol is PLUS else "Hyp-", "BotE", "TopE_d"]
-        if pol is PLUS:
-            moves += ["AndE1", "AndE2", "ImpE", "ImpE_d1", "CoImpE1", "OrE", "AndE_d"]
-            if matches(Verum):
-                moves.append("TopI")
-            if matches(And):
-                moves.append("AndI")
-            if matches(Or):
-                moves += ["OrI1", "OrI2"]
-            if matches(Imp):
-                moves.append("ImpI")
-            if matches(CoImp):
-                moves.append("CoImpI")
-        else:
-            moves += ["OrE_d1", "OrE_d2", "CoImpE_d", "ImpE_d2", "CoImpE2", "OrE", "AndE_d"]
-            if matches(Falsum):
-                moves.append("BotI_d")
-            if matches(Or):
-                moves.append("OrI_d")
-            if matches(And):
-                moves += ["AndI_d1", "AndI_d2"]
-            if matches(Imp):
-                moves.append("ImpI_d")
-            if matches(CoImp):
-                moves.append("CoImpI_d")
-        weighted = [(m, self.weights.get(m, 1.0)) for m in moves]
-        weighted = [(m, w) for m, w in weighted if w > 0]
+        weighted = [
+            (r, self.weights[r.name])
+            for r in _OFFERS[pol]
+            if isinstance(r.concl, MetaVar) or isinstance(g, (MetaVar, type(r.concl)))
+        ]
+        weighted = [(r, w) for r, w in weighted if w > 0]
         if not weighted:
             return self.hyp(goal, pol, scope)
         total = sum(w for _, w in weighted)
         pick = self.rng.random() * total
         rule = weighted[-1][0]
-        for m, w in weighted:
+        for r, w in weighted:
             pick -= w
             if pick <= 0:
-                rule = m
+                rule = r
                 break
         return self.apply_rule(rule, goal, pol, budget, scope)
 
-    def apply_rule(self, rule: str, goal, pol, budget: int, scope: dict) -> Term:
-        b = budget - 1
-        m = self.fresh_meta
-        match rule:
-            case "Hyp+" | "Hyp-":
-                return self.hyp(goal, pol, scope)
-            case "TopI":
-                self.unify(goal, Verum())
-                return Top()
-            case "BotI_d":
-                self.unify(goal, Falsum())
-                return Bot()
-            case "BotE":
-                return Abort(self.go(Falsum(), PLUS, b, scope), pol)
-            case "TopE_d":
-                return Abort(self.go(Verum(), MINUS, b, scope), pol)
-            case "AndI":
-                a1, a2 = m(), m()
-                self.unify(goal, And(a1, a2))
-                return Pair(self.go(a1, PLUS, b, scope), self.go(a2, PLUS, b, scope), PLUS)
-            case "OrI_d":
-                a1, a2 = m(), m()
-                self.unify(goal, Or(a1, a2))
-                return Pair(self.go(a1, MINUS, b, scope), self.go(a2, MINUS, b, scope), MINUS)
-            case "AndE1":
-                return Fst(self.go(And(goal, m()), PLUS, b, scope), PLUS)
-            case "AndE2":
-                return Snd(self.go(And(m(), goal), PLUS, b, scope), PLUS)
-            case "OrE_d1":
-                return Fst(self.go(Or(goal, m()), MINUS, b, scope), MINUS)
-            case "OrE_d2":
-                return Snd(self.go(Or(m(), goal), MINUS, b, scope), MINUS)
-            case "OrI1":
-                a1, a2 = m(), m()
-                self.unify(goal, Or(a1, a2))
-                return Inl(self.go(a1, PLUS, b, scope), PLUS)
-            case "OrI2":
-                a1, a2 = m(), m()
-                self.unify(goal, Or(a1, a2))
-                return Inr(self.go(a2, PLUS, b, scope), PLUS)
-            case "AndI_d1":
-                a1, a2 = m(), m()
-                self.unify(goal, And(a1, a2))
-                return Inl(self.go(a1, MINUS, b, scope), MINUS)
-            case "AndI_d2":
-                a1, a2 = m(), m()
-                self.unify(goal, And(a1, a2))
-                return Inr(self.go(a2, MINUS, b, scope), MINUS)
-            case "ImpI":
-                a1, a2 = m(), m()
-                self.unify(goal, Imp(a1, a2))
-                x = self.fresh_name()
-                inner = dict(scope)
-                inner[(x, PLUS)] = a1
-                return Lam(x, self.go(a2, PLUS, b, inner), PLUS)
-            case "CoImpI_d":
-                a1, a2 = m(), m()
-                self.unify(goal, CoImp(a1, a2))
-                x = self.fresh_name()
-                inner = dict(scope)
-                inner[(x, MINUS)] = a2
-                return Lam(x, self.go(a1, MINUS, b, inner), MINUS)
-            case "ImpE":
-                arg = m()
-                fun = self.go(Imp(arg, goal), PLUS, b, scope)
-                return App(fun, self.go(arg, PLUS, b, scope), PLUS)
-            case "CoImpE_d":
-                arg = m()
-                fun = self.go(CoImp(goal, arg), MINUS, b, scope)
-                return App(fun, self.go(arg, MINUS, b, scope), MINUS)
-            case "ImpI_d":
-                a1, a2 = m(), m()
-                self.unify(goal, Imp(a1, a2))
-                return MPair(self.go(a1, PLUS, b, scope), self.go(a2, MINUS, b, scope), MINUS)
-            case "CoImpI":
-                a1, a2 = m(), m()
-                self.unify(goal, CoImp(a1, a2))
-                return MPair(self.go(a1, PLUS, b, scope), self.go(a2, MINUS, b, scope), PLUS)
-            case "ImpE_d1":
-                return Pi1(self.go(Imp(goal, m()), MINUS, b, scope))
-            case "ImpE_d2":
-                return Pi2(self.go(Imp(m(), goal), MINUS, b, scope))
-            case "CoImpE1":
-                return Pi1(self.go(CoImp(goal, m()), PLUS, b, scope))
-            case "CoImpE2":
-                return Pi2(self.go(CoImp(m(), goal), PLUS, b, scope))
-            case "OrE" | "AndE_d":
-                q = PLUS if rule == "OrE" else MINUS
-                a1, a2 = m(), m()
-                shape = Or(a1, a2) if rule == "OrE" else And(a1, a2)
-                scrutinee = self.go(shape, q, b, scope)
-                x, y = self.fresh_name(), self.fresh_name()
-                in1 = dict(scope)
-                in1[(x, q)] = a1
-                branch1 = self.go(goal, pol, b, in1)
-                in2 = dict(scope)
-                in2[(y, q)] = a2
-                branch2 = self.go(goal, pol, b, in2)
-                return Case(scrutinee, x, branch1, y, branch2, pol)
-        raise GenerationFailed(f"unknown rule {rule!r}")
+    def apply_rule(self, rule: Rule, goal, pol, budget: int, scope: dict) -> Term:
+        """A term of rule for goal: a conclusion that is a pattern variable
+        stands for the goal, any other is unified with it, and each
+        premise's instance becomes a subgoal.  Fresh metavariables go to the
+        pattern variables left to right, and the binders get fresh names
+        when the first premise that discharges one is reached."""
+        if rule.ctor is Var:
+            return self.hyp(goal, pol, scope)
+        env: dict[str, Formula] = {}
+        if isinstance(rule.concl, MetaVar):
+            env[rule.concl.name] = goal
+        else:
+            self.unify(goal, instantiate(rule.concl, env, self.fresh_meta))
+        names, parts = None, []
+        for p in rule.prems:
+            inner = scope
+            if p.binds is not None:
+                if names is None:
+                    names = iter([self.fresh_name() for q in rule.prems if q.binds])
+                x, (_, q, formula) = next(names), p.binds
+                inner = {**scope, (x, q): instantiate(formula, env)}
+                parts.append(x)
+            subgoal = instantiate(p.type, env, self.fresh_meta)
+            parts.append(self.go(subgoal, pol if p.pol is None else p.pol, budget - 1, inner))
+        return assemble(rule, parts, pol)
 
     def ground(self) -> None:
         for name in self.metas:

@@ -4,10 +4,11 @@ Every constructor-polarity combination matches exactly one rule, so
 inference is syntax directed: walk the term, allocate metavariables,
 collect first-order constraints, solve by unification.  check() runs the
 same inference with the free variables pinned to their basis entries and
-then rebuilds the full derivation tree, node by node.  Unification is over
-before the rebuild starts, so check() resolves each metavariable once (one
-the constraints left open becomes top) and each node's type once, sharing
-the resolved formulas between the nodes that carry them.
+then rebuilds the full derivation tree, node by node, each node from its
+rule's row in `derivation.RULE_TABLE`.  Unification is over before the
+rebuild starts, so check() resolves each metavariable once (one the
+constraints left open becomes top) and each node's type once, sharing the
+resolved formulas between the nodes that carry them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 
-from .derivation import Derivation, Judgment
+from .derivation import Derivation, Judgment, assemble, instantiate, match_pattern, rule_of
 from .syntax import (
     PLUS,
     MINUS,
@@ -47,6 +48,7 @@ from .syntax import (
     Var,
     Verum,
     check_polarities,
+    children,
     free_vars,
     fresh_name,
     substitute,
@@ -406,78 +408,34 @@ def _unshadow(
 
 
 def _build(t: Term, path: tuple[int, ...], basis: Basis, cx: _Ctx) -> Derivation:
+    """The derivation of t from its rule's row; t itself is its subject
+    unless a binder had to be renamed somewhere inside it."""
     ty = _solved(cx, cx.node_type[path])
-
-    def node(rule: str, term: Term, *prems: Derivation) -> Derivation:
-        return Derivation(rule, Judgment(basis, term.pol, term, ty), tuple(prems))
-
-    match t:
-        case Var(_, p):
-            return node("Hyp+" if p is PLUS else "Hyp-", t)
-        case Top():
-            return node("TopI", t)
-        case Bot():
-            return node("BotI_d", t)
-        case Abort(body, p):
-            rule = "BotE" if body.pol is PLUS else "TopE_d"
-            d0 = _build(body, path + (0,), basis, cx)
-            return node(rule, Abort(d0.concl.term, p), d0)
-        case Pair(left, right, p):
-            rule = "AndI" if p is PLUS else "OrI_d"
-            d0 = _build(left, path + (0,), basis, cx)
-            d1 = _build(right, path + (1,), basis, cx)
-            return node(rule, Pair(d0.concl.term, d1.concl.term, p), d0, d1)
-        case Fst(body, p):
-            rule = "AndE1" if p is PLUS else "OrE_d1"
-            d0 = _build(body, path + (0,), basis, cx)
-            return node(rule, Fst(d0.concl.term, p), d0)
-        case Snd(body, p):
-            rule = "AndE2" if p is PLUS else "OrE_d2"
-            d0 = _build(body, path + (0,), basis, cx)
-            return node(rule, Snd(d0.concl.term, p), d0)
-        case Inl(body, p):
-            rule = "OrI1" if p is PLUS else "AndI_d1"
-            d0 = _build(body, path + (0,), basis, cx)
-            return node(rule, Inl(d0.concl.term, p), d0)
-        case Inr(body, p):
-            rule = "OrI2" if p is PLUS else "AndI_d2"
-            d0 = _build(body, path + (0,), basis, cx)
-            return node(rule, Inr(d0.concl.term, p), d0)
-        case Lam(x, body, p):
-            if p is PLUS:
-                rule, bound = "ImpI", ty.left
-            else:
-                rule, bound = "CoImpI_d", ty.right
-            x, body = _unshadow(x, p, bound, basis, body)
-            d0 = _build(body, path + (0,), basis.extend(x, p, bound), cx)
-            return node(rule, Lam(x, d0.concl.term, p), d0)
-        case App(fun, arg, p):
-            rule = "ImpE" if p is PLUS else "CoImpE_d"
-            d0 = _build(fun, path + (0,), basis, cx)
-            d1 = _build(arg, path + (1,), basis, cx)
-            return node(rule, App(d0.concl.term, d1.concl.term, p), d0, d1)
-        case MPair(pos, neg, p):
-            rule = "CoImpI" if p is PLUS else "ImpI_d"
-            d0 = _build(pos, path + (0,), basis, cx)
-            d1 = _build(neg, path + (1,), basis, cx)
-            return node(rule, MPair(d0.concl.term, d1.concl.term, p), d0, d1)
-        case Pi1(body):
-            rule = "CoImpE1" if body.pol is PLUS else "ImpE_d1"
-            d0 = _build(body, path + (0,), basis, cx)
-            return node(rule, Pi1(d0.concl.term), d0)
-        case Pi2(body):
-            rule = "CoImpE2" if body.pol is PLUS else "ImpE_d2"
-            d0 = _build(body, path + (0,), basis, cx)
-            return node(rule, Pi2(d0.concl.term), d0)
-        case Case(scrutinee, x, branch1, y, branch2, p):
-            rule = "OrE" if scrutinee.pol is PLUS else "AndE_d"
-            q = scrutinee.pol
-            d0 = _build(scrutinee, path + (0,), basis, cx)
-            sty = d0.concl.type
-            x, branch1 = _unshadow(x, q, sty.left, basis, branch1)
-            y, branch2 = _unshadow(y, q, sty.right, basis, branch2)
-            d1 = _build(branch1, path + (1,), basis.extend(x, q, sty.left), cx)
-            d2 = _build(branch2, path + (2,), basis.extend(y, q, sty.right), cx)
-            term = Case(d0.concl.term, x, d1.concl.term, y, d2.concl.term, p)
-            return node(rule, term, d0, d1, d2)
-    raise TypeError(f"not a term: {t!r}")
+    rule = rule_of(t)
+    if not rule.prems:
+        return Derivation(rule.name, Judgment(basis, t.pol, t, ty))
+    env = None  # the rule's pattern variables, matched once a discharge needs them
+    prems, parts = [], []
+    kids = children(t)
+    same = True
+    for i, (p, kid) in enumerate(zip(rule.prems, kids)):
+        inner = basis
+        if p.binds is not None:
+            if env is None:
+                env = {}
+                match_pattern(rule.concl, ty, env)
+                for q, d in zip(rule.prems, prems):
+                    match_pattern(q.type, d.concl.type, env)
+            field, q, pattern = p.binds
+            bound = instantiate(pattern, env)
+            x, kid = _unshadow(getattr(t, field), q, bound, basis, kid)
+            inner = basis.extend(x, q, bound)
+            parts.append(x)
+            same = same and x == getattr(t, field)
+        d = _build(kid, path + (i,), inner, cx)
+        prems.append(d)
+        parts.append(d.concl.term)
+        same = same and d.concl.term is kids[i]
+    if not same:
+        t = assemble(rule, parts, t.pol)
+    return Derivation(rule.name, Judgment(basis, t.pol, t, ty), tuple(prems))

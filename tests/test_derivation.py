@@ -5,21 +5,27 @@ import hypothesis.strategies as st
 import pytest
 
 from l2int.derivation import RULES, Derivation, Judgment, height, validate
+from l2int.duality import dual_derivation
 from l2int.syntax import (
     PLUS,
     MINUS,
+    And,
     Atom,
     Basis,
+    CoImp,
     Falsum,
+    Imp,
     Lam,
+    Or,
     Top,
     Var,
     Verum,
 )
 from l2int.testkit import GenConfig, gen_derivation
-from l2int.textio import parse_formula, parse_term
+from l2int.textio import derivation_from_json, parse_formula, parse_term
 from l2int.typecheck import check
-from conftest import load_worked_pair
+from conftest import DATA, load_worked_pair
+from former import former_validate
 
 
 def leaf(rule, basis, pol, term, typ):
@@ -163,3 +169,87 @@ def test_generated_derivations_validate(seed):
     assert validate(d) == []
     assert d.rule in RULES
     assert height(d) <= 7
+
+
+# ------------------------------------------- validate against the former code
+
+
+def _outcome(violations):
+    return violations == [], {v.path for v in violations}
+
+
+def _nodes(d):
+    yield d
+    for p in d.prems:
+        yield from _nodes(p)
+
+
+def _other_formulas(f):
+    yield Atom("zz")
+    if isinstance(f, (And, Or, Imp, CoImp)):
+        yield type(f)(f.right, f.left)  # same connective, sides swapped
+        yield type(f)(f.left, Atom("zz"))
+    else:
+        yield Imp(f, f)
+
+
+def _other_bases(b):
+    yield b.extend("zz", PLUS, Atom("zz"))
+    yield b.extend("zz", MINUS, Atom("zz"))
+    yield Basis()
+    for side, pol in ((b.gamma, PLUS), (b.delta, MINUS)):
+        if side:
+            yield b.extend(side[0][0], pol, Atom("zz"))
+
+
+def _mutants(d):
+    """Each node's rule renamed to every other rule; each premise's
+    polarity, term, type or basis tampered with; each premise dropped,
+    duplicated, or swapped with another.  Each mutant is the subtree of
+    the node it changes, with that node's conclusion unchanged: validating
+    a node reads only its subtree, and its parent reads only its
+    conclusion, so this stands for validating the whole derivation."""
+    for n in _nodes(d):
+        for rule in RULES:
+            if rule != n.rule:
+                yield dataclasses.replace(n, rule=rule)
+        kids = n.prems
+        for i, p in enumerate(kids):
+            j = p.concl
+            others = [k.concl.term for k in kids if k is not p] + [n.concl.term, Var("zz", j.pol)]
+            tampered = (
+                [dataclasses.replace(j, pol=j.pol.flip())]
+                + [dataclasses.replace(j, term=t) for t in others]
+                + [dataclasses.replace(j, type=f) for f in _other_formulas(j.type)]
+                + [dataclasses.replace(j, basis=b) for b in _other_bases(j.basis)]
+            )
+            for concl in tampered:
+                changed = dataclasses.replace(p, concl=concl)
+                yield dataclasses.replace(n, prems=kids[:i] + (changed,) + kids[i + 1:])
+            yield dataclasses.replace(n, prems=kids[:i] + kids[i + 1:])
+            yield dataclasses.replace(n, prems=kids[: i + 1] + kids[i:])
+            for k in range(i + 1, len(kids)):
+                swapped = list(kids)
+                swapped[i], swapped[k] = kids[k], kids[i]
+                yield dataclasses.replace(n, prems=tuple(swapped))
+
+
+def test_validate_matches_former_validate():
+    from test_acceptance import REDEX_HEAVY_WEIGHTS
+    from test_typecheck import _seeded
+
+    loaded = [derivation_from_json(p.read_text()) for p in sorted(DATA.glob("*.json"))]
+    seeded = _seeded(200, {}) + _seeded(200, REDEX_HEAVY_WEIGHTS)
+    valid = loaded + seeded + [dual_derivation(d) for d in loaded + seeded]
+    for d in valid:
+        assert former_validate(d) == [] and validate(d) == []
+    mutated = invalid = 0
+    for d in loaded + seeded[:60] + seeded[200:260]:
+        for base in (d, dual_derivation(d)):
+            for m in _mutants(base):
+                want = _outcome(former_validate(m))
+                assert _outcome(validate(m)) == want
+                mutated += 1
+                invalid += not want[0]
+    assert mutated > 60_000
+    assert invalid > 0.9 * mutated

@@ -1,9 +1,11 @@
 import copy
+import itertools
 import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields, make_dataclass
+import tracemalloc
+from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
 import hypothesis as hyp
@@ -27,6 +29,7 @@ from l2int.syntax import (
     Fst,
     Imp,
     Inl,
+    Inr,
     Lam,
     MetaVar,
     MPair,
@@ -42,15 +45,18 @@ from l2int.syntax import (
     alpha_eq,
     alpha_key,
     check_polarities,
+    children,
     free_vars,
     fresh_name,
     replace_at,
     subterm_at,
     substitute,
     term_size,
+    with_children,
 )
 from l2int.testkit import GenConfig, gen_derivation
 from l2int.textio import parse_term
+from former import former_alpha_eq
 
 
 def t(src):
@@ -309,3 +315,101 @@ def test_pickled_formula_hashes_afresh_in_another_process():
         "sys.exit(hash(f) != hash(And(Atom('a'), Imp(Or(Atom('b'), Verum()), Atom('c')))))\n"
     )
     subprocess.run([sys.executable, "-c", code], input=pickle.dumps(f), env=env, check=True)
+
+
+# -------------------------------------------- alpha_eq against its former code
+
+_NAMES = st.sampled_from(["x", "y", "z"])
+_POLS = st.sampled_from([PLUS, MINUS])
+
+# Terms over three names and both polarities, well polarized or not.
+TERMS = st.recursive(
+    st.one_of(st.builds(Var, _NAMES, _POLS), st.builds(Top), st.builds(Bot)),
+    lambda sub: st.one_of(
+        *(st.builds(cls, sub, _POLS) for cls in (Abort, Fst, Snd, Inl, Inr)),
+        *(st.builds(cls, sub, sub, _POLS) for cls in (Pair, App, MPair)),
+        st.builds(Pi1, sub),
+        st.builds(Pi2, sub),
+        st.builds(Lam, _NAMES, sub, _POLS),
+        st.builds(Case, sub, _NAMES, sub, _NAMES, sub, _POLS),
+    ),
+    max_leaves=12,
+)
+
+
+def _subterm_paths(term, path=()):
+    yield path
+    for i, c in enumerate(children(term)):
+        yield from _subterm_paths(c, path + (i,))
+
+
+def _tweaked(term, path, name, pol):
+    """term with the node at path given the polarity pol, if it has a
+    polarity field, or, if it is a variable, the name name."""
+    node = subterm_at(term, path)
+    if isinstance(node, Var):
+        node = Var(name, node.pol)
+    elif "pol" in {f.name for f in fields(node)}:
+        node = replace(node, pol=pol)
+    return replace_at(term, path, node)
+
+
+def _renamed_binders(term, names):
+    """term with every binder renamed to the next of names (fresh ones)."""
+    match term:
+        case Lam(b, body, p):
+            n = next(names)
+            return Lam(n, _renamed_binders(substitute(body, b, p, Var(n, p)), names), p)
+        case Case(r, x, s, y, u, p):
+            q, nx, ny = r.pol, next(names), next(names)
+            s = _renamed_binders(substitute(s, x, q, Var(nx, q)), names)
+            u = _renamed_binders(substitute(u, y, q, Var(ny, q)), names)
+            return Case(_renamed_binders(r, names), nx, s, ny, u, p)
+    return with_children(term, tuple(_renamed_binders(c, names) for c in children(term)))
+
+
+@hyp.given(TERMS, TERMS, st.data())
+@hyp.settings(max_examples=400, deadline=None)
+def test_alpha_eq_matches_former_alpha_eq(a, b, data):
+    path = data.draw(st.sampled_from(list(_subterm_paths(a))))
+    tweaked = _tweaked(a, path, data.draw(_NAMES), data.draw(_POLS))
+    renamed = _renamed_binders(a, (f"r{i}" for i in itertools.count()))
+    for u in (a, b, tweaked, renamed, _renamed_binders(tweaked, (f"r{i}" for i in itertools.count()))):
+        assert alpha_eq(a, u) == former_alpha_eq(a, u)
+        assert alpha_eq(u, a) == former_alpha_eq(u, a)
+    assert alpha_eq(a, renamed)
+
+
+def test_alpha_eq_binder_and_scrutinee_polarity_and_free_names():
+    pairs = [
+        (t("(\\x+. x+)+"), t("(\\x-. x-)-")),  # binder polarity
+        (Lam("x", Var("x", PLUS), PLUS), Lam("x", Var("x", MINUS), PLUS)),
+        (t("case z+ {x+. top+ | y+. top+}+"), t("case z- {x-. top+ | y-. top+}+")),
+        (t("case z+ {x+. x+ | y+. y+}+"), t("case z- {x-. x+ | y-. y+}+")),
+        (t("(\\x+. y+)+"), t("(\\y+. y+)+")),  # free against bound
+        (t("(\\x+. x+)+"), t("(\\x+. y+)+")),
+        (t("(\\x+. (\\y+. x+)+)+"), t("(\\x+. (\\x+. x+)+)+")),  # shadowing
+    ]
+    for a, b in pairs:
+        assert not former_alpha_eq(a, b)
+        assert not alpha_eq(a, b) and not alpha_eq(b, a)
+
+
+def test_check_polarities_memory_is_linear():
+    # One path tuple per node would take about 8 * depth**2 / 2 bytes here
+    # (3.2 MB); one path list takes a few hundred bytes per level.
+    term = Var("x", PLUS)
+    for _ in range(889):
+        term = Inl(term, PLUS)
+    tracemalloc.start()
+    try:
+        violations = check_polarities(term)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    assert peak < 500 * 889
+    bad = Inl(Inl(Var("x", MINUS), PLUS), PLUS)
+    assert [(v.path, v.message) for v in check_polarities(bad)] == [
+        ((0,), "injection body is -, injection is +")
+    ]

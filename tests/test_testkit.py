@@ -1,3 +1,4 @@
+import math
 import random
 
 import hypothesis as hyp
@@ -17,7 +18,8 @@ from l2int.testkit import (
     gen_formula,
     oracle_reduce_all,
 )
-from l2int.textio import parse_formula, parse_term, print_term
+from l2int.textio import derivation_to_json, parse_formula, parse_term, print_term
+from conftest import DATA
 
 
 def test_gen_config_validation():
@@ -155,3 +157,32 @@ def test_oracle_agrees_with_canonical_normalize():
 def test_generated_end_terms_are_well_polarized(seed):
     d = gen_derivation(GenConfig(seed=seed, max_height=6))
     assert check_polarities(d.concl.term) == []
+
+
+def test_rule_weights_are_checked():
+    for weights in (
+        {"ImpI ": 50.0},  # no such rule
+        {"impi": 1.0},
+        {"ImpI": math.inf},
+        {"ImpI": math.nan},
+        {"ImpI": -1.0},
+        {"OrE": 1.0, "CoImpE_d": -math.inf},
+    ):
+        with pytest.raises(ValueError):
+            GenConfig(rule_weights=weights)
+    zero = GenConfig(seed=3, rule_weights={"ImpI": 0.0, "Hyp+": 1e9})
+    assert validate(gen_derivation(zero)) == []
+
+
+@pytest.mark.parametrize("name", ["standard", "redex_heavy"])
+def test_generation_matches_golden_output(name):
+    # One line per seed 0-39 with the default height: derivation_to_json(...,
+    # indent=None) as the generator wrote it before it read the rule table.
+    from test_acceptance import REDEX_HEAVY_WEIGHTS
+
+    weights = {"standard": {}, "redex_heavy": REDEX_HEAVY_WEIGHTS}[name]
+    want = (DATA / f"gen_{name}.jsonl").read_text().splitlines()
+    assert len(want) == 40
+    for seed, line in enumerate(want):
+        d = gen_derivation(GenConfig(seed=seed, rule_weights=weights))
+        assert derivation_to_json(d, indent=None) == line, seed

@@ -239,6 +239,20 @@ def test_check_renames_shadowing_binder():
     assert alpha_eq(lam, parse_term("(\\x+. x+)+"))
 
 
+def test_check_renames_a_shadowing_binder_its_body_does_not_use():
+    # Renaming leaves such a body the same object; the binder must change all
+    # the same.
+    cases = [
+        (Basis.make({"x": Atom("a")}), "(\\x+. top+)+", "b -> top"),
+        (Basis.make(None, {"y": parse_formula("b & c")}), "case y- {y-. top+ | z-. top+}+", "top"),
+    ]
+    for basis, src, typ in cases:
+        t = parse_term(src)
+        d = check(basis, PLUS, t, parse_formula(typ))
+        assert validate(d) == []
+        assert d.concl.term != t and alpha_eq(d.concl.term, t)
+
+
 def test_check_keeps_binder_matching_basis_formula():
     b = Basis.make({"x": Atom("a")})
     d = check(b, PLUS, parse_term("(\\x+. x+)+"), parse_formula("a -> a"))
