@@ -54,6 +54,7 @@ from .syntax import (
     Top,
     Var,
     Verum,
+    binders,
     check_polarities,
     children,
     dual_formula,
@@ -97,17 +98,18 @@ def height(d: Derivation) -> int:
 @dataclass(frozen=True)
 class Premise:
     """pol is None for a case branch, which takes the conclusion's polarity.
-    binds names the term's binder field, with the polarity and the formula
-    of the assumption the premise discharges."""
+    binds is the polarity and the formula of the assumption the premise
+    discharges; the term's binder over that child (`syntax.binders`) names
+    it."""
 
     pol: Polarity | None
     type: Formula
-    binds: tuple[str, Polarity, Formula] | None = None
+    binds: tuple[Polarity, Formula] | None = None
 
     @property
     def variables(self) -> set[str]:
         """The pattern variables of its formula and its discharged one."""
-        discharged = metavars_of(self.binds[2]) if self.binds else set()
+        discharged = metavars_of(self.binds[1]) if self.binds else set()
         return metavars_of(self.type) | discharged
 
 
@@ -141,10 +143,10 @@ _PRIMAL = (
     Rule("OrI2", "AndI_d2", Inr, PLUS, Or(A, B), (Premise(PLUS, B),)),
     Rule("OrE", "AndE_d", Case, None, C, (
         Premise(PLUS, Or(A, B)),
-        Premise(None, C, ("binder1", PLUS, A)),
-        Premise(None, C, ("binder2", PLUS, B)),
+        Premise(None, C, (PLUS, A)),
+        Premise(None, C, (PLUS, B)),
     )),
-    Rule("ImpI", "CoImpI_d", Lam, PLUS, Imp(A, B), (Premise(PLUS, B, ("binder", PLUS, A)),)),
+    Rule("ImpI", "CoImpI_d", Lam, PLUS, Imp(A, B), (Premise(PLUS, B, (PLUS, A)),)),
     Rule("ImpE", "CoImpE_d", App, PLUS, B, (Premise(PLUS, Imp(A, B)), Premise(PLUS, A))),
     Rule("CoImpI", "ImpI_d", MPair, PLUS, CoImp(A, B), (Premise(PLUS, A), Premise(MINUS, B))),
     Rule("CoImpE1", "ImpE_d2", Pi1, PLUS, A, (Premise(PLUS, CoImp(A, B)),)),
@@ -166,7 +168,7 @@ def _flip(pol: Polarity | None) -> Polarity | None:
 
 def _dual_rule(r: Rule) -> Rule:
     def premise(p: Premise) -> Premise:
-        binds = p.binds and (p.binds[0], p.binds[1].flip(), dual_formula(p.binds[2]))
+        binds = p.binds and (p.binds[0].flip(), dual_formula(p.binds[1]))
         return Premise(_flip(p.pol), dual_formula(p.type), binds)
 
     prems = dual_premises(r, tuple(map(premise, r.prems)))
@@ -268,8 +270,8 @@ def _validate(d: Derivation, path: tuple[int, ...], out: list[RuleViolation]) ->
         bad(f"{d.rule} cannot conclude this formula")
         return
     if isinstance(t, Var) and j.basis.lookup(t.name, rule.pol) != j.type:
-        bad(f"{t.name}{rule.pol} is not assumed at {j.type} in the basis")
-    kids = children(t)
+        bad(f"{t.name}{rule.pol} is not assumed at {_show(j.type)} in the basis")
+    kids, bound = children(t), binders(t)
     for i, (p, prem) in enumerate(zip(rule.prems, d.prems)):
         pj = prem.concl
         want = j.pol if p.pol is None else p.pol
@@ -280,15 +282,18 @@ def _validate(d: Derivation, path: tuple[int, ...], out: list[RuleViolation]) ->
         matched = match_pattern(p.type, pj.type, env)
         if not matched:
             bad(f"premise {i} must conclude the matching formula")
-        discharged = None
-        if p.binds is not None:
-            field, q, formula = p.binds
-            discharged = getattr(t, field), q, instantiate(formula, env)
+        discharged = bound[i] and (*bound[i], instantiate(p.binds[1], env))
         _check_basis(i, pj.basis, j.basis, discharged, bad)
         if not matched and any(not q.variables <= env.keys() for q in rule.prems[i + 1:]):
             return
     for i, p in enumerate(d.prems):
         _validate(p, path + (i,), out)
+
+
+def _show(f: Formula) -> str:
+    from .textio import print_formula  # textio imports this module
+
+    return print_formula(f)
 
 
 def _check_basis(i: int, pb: Basis, cb: Basis, discharged, bad) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .derivation import Derivation
 from .duality import dual_term
 from .rewrite import DEFAULT_FUEL, FuelExhausted, NormalizeResult, normalize
-from .syntax import Case, Lam, Polarity, Term, Var, alpha_eq, children, with_children
+from .syntax import Polarity, Term, Var, alpha_eq, binders, children, with_children
 from .typecheck import TypeScheme, infer_principal
 
 IDENTICAL = "identical"
@@ -62,31 +62,20 @@ def canonical_variable_form(t: Term) -> Term:
     free: dict[tuple[str, Polarity], str] = {}
 
     def go(t: Term, bound: dict[tuple[str, Polarity], str]) -> Term:
-        match t:
-            case Var(n, p):
-                name = bound.get((n, p))
-                if name is None:
-                    name = free.setdefault((n, p), next(fresh))
-                return Var(name, p)
-            case Lam(x, body, p):
-                nx = next(fresh)
-                inner = dict(bound)
-                inner[(x, p)] = nx
-                return Lam(nx, go(body, inner), p)
-            case Case(scrutinee, x, s1, y, s2, p):
-                q = scrutinee.pol
-                r = go(scrutinee, bound)
-                nx = next(fresh)
-                in1 = dict(bound)
-                in1[(x, q)] = nx
-                b1 = go(s1, in1)
-                ny = next(fresh)
-                in2 = dict(bound)
-                in2[(y, q)] = ny
-                b2 = go(s2, in2)
-                return Case(r, nx, b1, ny, b2, p)
-            case _:
-                return with_children(t, tuple(go(c, bound) for c in children(t)))
+        if isinstance(t, Var):
+            name = bound.get((t.name, t.pol))
+            if name is None:
+                name = free.setdefault((t.name, t.pol), next(fresh))
+            return Var(name, t.pol)
+        new, names = [], []
+        for c, b in zip(children(t), binders(t)):
+            inner, x = bound, None
+            if b is not None:
+                x = next(fresh)
+                inner = {**bound, b: x}
+            new.append(go(c, inner))
+            names.append(x)
+        return with_children(t, new, names)
 
     return go(t, {})
 

@@ -2,9 +2,12 @@
 
 Three redex families: beta (a constructor meets its matching destructor),
 perm (a destructor applied to a case is pushed into both branches), and
-simp (a case neither of whose binders occurs in one branch collapses to
-that branch, preferring the left one).  A term is normal when no family
-applies anywhere.
+simp (a case collapses to a branch that does not use the variable it
+binds, preferring the left one; what the branch does with the other
+branch's variable does not matter, as in Prawitz's immediate
+simplification).  A term is normal when no family applies anywhere.
+`_INTROS` is the one table of beta and perm redexes: each elimination
+with the introductions its head meets.
 
 normalize() contracts one redex at a time, betas anywhere before perms
 anywhere before simps, leftmost-outermost within a family.  Fuel bounds
@@ -16,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    PLUS,
-    MINUS,
     App,
     Case,
     Fst,
@@ -30,13 +31,14 @@ from .syntax import (
     Pi2,
     Snd,
     Term,
-    Var,
+    binders,
     children,
     free_vars,
-    fresh_name,
+    rename_bound,
     replace_at,
     substitute,
     subterm_at,
+    with_children,
 )
 
 KINDS = ("beta", "perm", "simp")
@@ -62,41 +64,31 @@ class FuelExhausted(Exception):
         self.steps = steps
 
 
+# Each elimination with the introductions its head, its first child, meets
+# in a beta redex.  A case as the head instead makes a perm redex.
+_INTROS = {
+    App: (Lam,), Fst: (Pair,), Snd: (Pair,), Pi1: (MPair,), Pi2: (MPair,), Case: (Inl, Inr),
+}
+
+
 def _redexes_here(t: Term) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
-    match t:
-        case App(Lam(), _, _):
-            out.append(("beta", "beta-App"))
-        case App(Case(), _, _):
-            out.append(("perm", "perm-App"))
-        case Pi1(MPair()):
-            out.append(("beta", "beta-Pi1"))
-        case Pi1(Case()):
-            out.append(("perm", "perm-Pi1"))
-        case Pi2(MPair()):
-            out.append(("beta", "beta-Pi2"))
-        case Pi2(Case()):
-            out.append(("perm", "perm-Pi2"))
-        case Fst(Pair(), _):
-            out.append(("beta", "beta-Fst"))
-        case Fst(Case(), _):
-            out.append(("perm", "perm-Fst"))
-        case Snd(Pair(), _):
-            out.append(("beta", "beta-Snd"))
-        case Snd(Case(), _):
-            out.append(("perm", "perm-Snd"))
-        case Case(scrutinee=Inl()):
-            out.append(("beta", "beta-CaseInl"))
-        case Case(scrutinee=Inr()):
-            out.append(("beta", "beta-CaseInr"))
-        case Case(scrutinee=Case()):
-            out.append(("perm", f"perm-Case{t.pol}"))
+    intros = _INTROS.get(type(t))
+    if intros is None:
+        return out
+    kids, name = children(t), type(t).__name__
+    # Only a case's details say more: beta-CaseInl, perm-Case+.
+    if isinstance(kids[0], intros):
+        tag = type(kids[0]).__name__ if isinstance(t, Case) else ""
+        out.append(("beta", f"beta-{name}{tag}"))
+    elif isinstance(kids[0], Case):
+        tag = t.pol.value if isinstance(t, Case) else ""
+        out.append(("perm", f"perm-{name}{tag}"))
     if isinstance(t, Case):
-        q = t.scrutinee.pol
-        binders = {(t.binder1, q), (t.binder2, q)}
-        if not (binders & free_vars(t.branch1)):
+        _, x, y = binders(t)
+        if x not in free_vars(kids[1]):
             out.append(("simp", "simp-left"))
-        if not (binders & free_vars(t.branch2)):
+        if y not in free_vars(kids[2]):
             out.append(("simp", "simp-right"))
     return out
 
@@ -119,60 +111,32 @@ def is_normal(t: Term) -> bool:
     return not find_redexes(t)
 
 
-def _freshen_branch(binder: str, body: Term, q, avoid: Term | tuple[Term, ...]):
-    """Rename binder away from the free variables of what moves under it."""
-    moved = avoid if isinstance(avoid, tuple) else (avoid,)
-    incoming = set()
-    for u in moved:
-        incoming |= free_vars(u)
-    if (binder, q) not in incoming:
-        return binder, body
-    taken = {n for n, _ in incoming | free_vars(body)} | {binder}
-    renamed = fresh_name(binder, taken)
-    return renamed, substitute(body, binder, q, Var(renamed, q))
+def _beta(t: Term) -> Term:
+    """The contractum of the beta redex t: the component of its head that
+    a projection keeps, or the bound child with the introduced term
+    substituted for its variable."""
+    head = children(t)[0]
+    if isinstance(t, App):
+        return substitute(head.body, *binders(head)[0], t.arg)
+    if isinstance(t, Case):
+        i = 1 if isinstance(head, Inl) else 2
+        return substitute(children(t)[i], *binders(t)[i], head.body)
+    return children(head)[0 if isinstance(t, (Fst, Pi1)) else 1]
 
 
-def _push_into_case(c: Case, wrap, pol, avoid: tuple[Term, ...] = ()) -> Case:
-    q = c.scrutinee.pol
-    x, s1 = _freshen_branch(c.binder1, c.branch1, q, avoid)
-    y, s2 = _freshen_branch(c.binder2, c.branch2, q, avoid)
-    return Case(c.scrutinee, x, wrap(s1), y, wrap(s2), pol)
-
-
-def _contract(t: Term, detail: str) -> Term:
-    match detail, t:
-        case "beta-App", App(Lam(x, body, p), s, _):
-            return substitute(body, x, p, s)
-        case "beta-Pi1", Pi1(MPair(pos, _, _)):
-            return pos
-        case "beta-Pi2", Pi2(MPair(_, neg, _)):
-            return neg
-        case "beta-Fst", Fst(Pair(left, _, _), _):
-            return left
-        case "beta-Snd", Snd(Pair(_, right, _), _):
-            return right
-        case "beta-CaseInl", Case(Inl(r, q), x, s1, _, _, _):
-            return substitute(s1, x, q, r)
-        case "beta-CaseInr", Case(Inr(r, q), _, _, y, s2, _):
-            return substitute(s2, y, q, r)
-        case "perm-App", App(Case() as c, u, p):
-            return _push_into_case(c, lambda b: App(b, u, p), p, avoid=(u,))
-        case "perm-Pi1", Pi1(Case() as c):
-            return _push_into_case(c, Pi1, PLUS)
-        case "perm-Pi2", Pi2(Case() as c):
-            return _push_into_case(c, Pi2, MINUS)
-        case "perm-Fst", Fst(Case() as c, p):
-            return _push_into_case(c, lambda b: Fst(b, p), p)
-        case "perm-Snd", Snd(Case() as c, p):
-            return _push_into_case(c, lambda b: Snd(b, p), p)
-        case ("perm-Case+" | "perm-Case-"), Case(Case() as c, z1, u1, z2, u2, p):
-            wrap = lambda b: Case(b, z1, u1, z2, u2, p)
-            return _push_into_case(c, wrap, p, avoid=(u1, u2))
-        case "simp-left", Case(_, _, s1, _, _, _):
-            return s1
-        case "simp-right", Case(_, _, _, _, s2, _):
-            return s2
-    raise NotARedex(f"no {detail} redex at this position")
+def _perm(t: Term) -> Term:
+    """t moved into both branches of its head case, each branch binder
+    renamed away from the free variables of t's other children."""
+    c, *rest = children(t)
+    incoming = set().union(*map(free_vars, rest))
+    taken = {n for n, _ in incoming}
+    parts = []
+    for body, b in zip(children(c)[1:], binders(c)[1:]):
+        x = b[0]
+        if b in incoming:
+            x, body = rename_bound(b, body, taken)
+        parts += x, with_children(t, (body, *rest))
+    return Case(c.scrutinee, *parts, t.pol)
 
 
 def step(t: Term, pos: RedexPosition) -> Term:
@@ -180,7 +144,13 @@ def step(t: Term, pos: RedexPosition) -> Term:
     sub = subterm_at(t, pos.path)
     if (pos.kind, pos.detail) not in _redexes_here(sub):
         raise NotARedex(f"no {pos.detail} redex at {pos.path}")
-    return replace_at(t, pos.path, _contract(sub, pos.detail))
+    if pos.kind == "beta":
+        new = _beta(sub)
+    elif pos.kind == "perm":
+        new = _perm(sub)
+    else:
+        new = children(sub)[1 if pos.detail == "simp-left" else 2]
+    return replace_at(t, pos.path, new)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,16 @@
 Terms come in two sorts distinguished by a polarity: plus terms stand for
 proofs, minus terms for refutations.  A variable is identified by its name
 *and* its polarity, so x+ and x- are unrelated.  Binders (lambda and the
-case branches) bind one polarity only.
+case branches) bind one polarity only.  `binders` is the one statement of
+which variable each child is scoped under; `free_vars`, `substitute`,
+`alpha_key` and the other traversals that track scope read it, and
+`rename_bound` is the one capture-avoiding renaming of a binder.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -322,7 +326,29 @@ def children(t: Term) -> tuple[Term, ...]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def with_children(t: Term, new: tuple[Term, ...]) -> Term:
+def binders(t: Term) -> tuple[tuple[str, Polarity] | None, ...]:
+    """For each child of t, the variable (name, polarity) bound over it,
+    or None.  This is the one statement of scoping: a lambda binds at its
+    own polarity, a case binds each branch's variable at its scrutinee's
+    polarity, and no other constructor binds."""
+    cls = type(t)
+    if cls is Lam:
+        return ((t.binder, t.pol),)
+    if cls is Case:
+        q = t.scrutinee.pol
+        return (None, (t.binder1, q), (t.binder2, q))
+    got = _UNBOUND.get(cls)
+    if got is None:
+        got = _UNBOUND[cls] = (None,) * len(children(t))
+    return got
+
+
+_UNBOUND: dict[type, tuple[None, ...]] = {}  # per constructor, a None per child
+
+
+def with_children(t: Term, new: Sequence[Term], names: Sequence[str | None] | None = None) -> Term:
+    """t with the children new and, where names is given, the binder
+    names names[i] over the binding children i (see `binders`)."""
     match t:
         case Var() | Top() | Bot():
             return t
@@ -346,10 +372,12 @@ def with_children(t: Term, new: tuple[Term, ...]) -> Term:
             return App(new[0], new[1], pol)
         case MPair(_, _, pol):
             return MPair(new[0], new[1], pol)
-        case Lam(binder, _, pol):
-            return Lam(binder, new[0], pol)
-        case Case(_, binder1, _, binder2, _, pol):
-            return Case(new[0], binder1, new[1], binder2, new[2], pol)
+        case Lam(x, _, pol):
+            return Lam(names[0] if names else x, new[0], pol)
+        case Case(_, x, _, y, _, pol):
+            if names:
+                x, y = names[1], names[2]
+            return Case(new[0], x, new[1], y, new[2], pol)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -372,25 +400,15 @@ def term_size(t: Term) -> int:
 
 
 def free_vars(t: Term) -> set[tuple[str, Polarity]]:
-    match t:
-        case Var(name, pol):
-            return {(name, pol)}
-        case Top() | Bot():
-            return set()
-        case Lam(binder, body, pol):
-            return free_vars(body) - {(binder, pol)}
-        case Case(scrutinee, binder1, branch1, binder2, branch2, _):
-            q = scrutinee.pol
-            return (
-                free_vars(scrutinee)
-                | (free_vars(branch1) - {(binder1, q)})
-                | (free_vars(branch2) - {(binder2, q)})
-            )
-        case _:
-            out: set[tuple[str, Polarity]] = set()
-            for c in children(t):
-                out |= free_vars(c)
-            return out
+    if isinstance(t, Var):
+        return {(t.name, t.pol)}
+    out: set[tuple[str, Polarity]] = set()
+    for c, b in zip(children(t), binders(t)):
+        fv = free_vars(c)
+        if b is not None:
+            fv.discard(b)
+        out |= fv
+    return out
 
 
 class PolarityMismatch(Exception):
@@ -411,6 +429,15 @@ def _names(vs: set[tuple[str, Polarity]]) -> set[str]:
     return {n for n, _ in vs}
 
 
+def rename_bound(binder: tuple[str, Polarity], body: Term, taken: set[str]) -> tuple[str, Term]:
+    """A new name for the variable binder bound over body, the first
+    `fresh_name` of it outside taken and body's free names, and body with
+    its free binder renamed to it."""
+    name, pol = binder
+    new = fresh_name(name, taken | _names(free_vars(body)) | {name})
+    return new, substitute(body, name, pol, Var(new, pol))
+
+
 def substitute(t: Term, name: str, pol: Polarity, s: Term) -> Term:
     """t with s for every free occurrence of the variable (name, pol).
 
@@ -418,41 +445,22 @@ def substitute(t: Term, name: str, pol: Polarity, s: Term) -> Term:
     """
     if s.pol is not pol:
         raise PolarityMismatch(f"cannot substitute a {s.pol} term for {name}{pol}")
+    v = (name, pol)
     fv_s = free_vars(s)
 
     def go(t: Term) -> Term:
-        match t:
-            case Var(n, p):
-                return s if (n, p) == (name, pol) else t
-            case Top() | Bot():
-                return t
-            case Lam(binder, body, p):
-                if (binder, p) == (name, pol):
-                    return t
-                if (binder, p) in fv_s and (name, pol) in free_vars(body):
-                    avoid = _names(fv_s | free_vars(body)) | {binder}
-                    b2 = fresh_name(binder, avoid)
-                    body = substitute(body, binder, p, Var(b2, p))
-                    return Lam(b2, go(body), p)
-                return Lam(binder, go(body), p)
-            case Case(scrutinee, b1, s1, b2, s2, p):
-                q = scrutinee.pol
-                r = go(scrutinee)
-
-                def branch(b: str, body: Term) -> tuple[str, Term]:
-                    if (b, q) == (name, pol):
-                        return b, body
-                    if (b, q) in fv_s and (name, pol) in free_vars(body):
-                        avoid = _names(fv_s | free_vars(body)) | {b}
-                        nb = fresh_name(b, avoid)
-                        return nb, go(substitute(body, b, q, Var(nb, q)))
-                    return b, go(body)
-
-                nb1, ns1 = branch(b1, s1)
-                nb2, ns2 = branch(b2, s2)
-                return Case(r, nb1, ns1, nb2, ns2, p)
-            case _:
-                return with_children(t, tuple(go(c) for c in children(t)))
+        if isinstance(t, Var):
+            return s if (t.name, t.pol) == v else t
+        new, names = [], []
+        for c, b in zip(children(t), binders(t)):
+            x = b and b[0]
+            if b != v:  # else c's v is bound, not free
+                if b in fv_s and v in free_vars(c):
+                    x, c = rename_bound(b, c, _names(fv_s))
+                c = go(c)
+            new.append(c)
+            names.append(x)
+        return with_children(t, new, names)
 
     return go(t)
 
@@ -467,37 +475,21 @@ def alpha_eq(t: Term, u: Term) -> bool:
 
 
 def alpha_key(t: Term):
-    """Hashable key equal for alpha-equivalent terms; free vars keep identity."""
+    """Hashable key equal for alpha-equivalent terms; free vars keep identity.
+    A bound variable is keyed by the number of binders above its own."""
 
     def go(t: Term, env: dict, depth: int):
-        match t:
-            case Var(n, p):
-                k = env.get((n, p))
-                return ("b", k, p.value) if k is not None else ("f", n, p.value)
-            case Top():
-                return ("top",)
-            case Bot():
-                return ("bot",)
-            case Lam(b, body, p):
-                e = dict(env)
-                e[(b, p)] = depth
-                return ("lam", p.value, go(body, e, depth + 1))
-            case Case(r, x, s, y, u, p):
-                q = r.pol
-                ex = dict(env)
-                ex[(x, q)] = depth
-                ey = dict(env)
-                ey[(y, q)] = depth
-                return (
-                    "case",
-                    p.value,
-                    go(r, env, depth),
-                    go(s, ex, depth + 1),
-                    go(u, ey, depth + 1),
-                )
-            case _:
-                tag = type(t).__name__.lower()
-                return (tag, t.pol.value) + tuple(go(c, env, depth) for c in children(t))
+        if isinstance(t, Var):
+            k = env.get((t.name, t.pol))
+            return ("b", k, t.pol.value) if k is not None else ("f", t.name, t.pol.value)
+        tag = type(t).__name__.lower()
+        kids = children(t)
+        if not kids:
+            return (tag,)
+        key = [tag, t.pol.value]
+        for c, b in zip(kids, binders(t)):
+            key.append(go(c, env, depth) if b is None else go(c, {**env, b: depth}, depth + 1))
+        return tuple(key)
 
     return go(t, {}, 0)
 

@@ -184,7 +184,7 @@ class _Gen:
             if p.binds is not None:
                 if names is None:
                     names = iter([self.fresh_name() for q in rule.prems if q.binds])
-                x, (_, q, formula) = next(names), p.binds
+                x, (q, formula) = next(names), p.binds
                 inner = {**scope, (x, q): instantiate(formula, env)}
                 parts.append(x)
             subgoal = instantiate(p.type, env, self.fresh_meta)

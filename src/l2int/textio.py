@@ -49,6 +49,7 @@ from .syntax import (
     Var,
     Verum,
     _once,
+    binders,
     check_polarities,
     children,
     subterm_at,
@@ -439,14 +440,15 @@ def print_term(t: Term) -> str:
             return f"inl{pol}({print_term(body)})"
         case Inr(body, pol):
             return f"inr{pol}({print_term(body)})"
-        case Case(scrutinee, b1, s1, b2, s2, pol):
-            q = scrutinee.pol
+        case Case(scrutinee, _, s1, _, s2, pol):
+            _, (b1, q), (b2, _) = binders(t)
             return (
                 f"case {print_term(scrutinee)} "
                 f"{{{b1}{q}. {print_term(s1)} | {b2}{q}. {print_term(s2)}}}{pol}"
             )
-        case Lam(binder, body, pol):
-            return f"(\\{binder}{pol}. {print_term(body)}){pol}"
+        case Lam(_, body, pol):
+            ((x, q),) = binders(t)
+            return f"(\\{x}{q}. {print_term(body)}){pol}"
         case App(fun, arg, pol):
             return f"app{pol}({print_term(fun)}, {print_term(arg)})"
         case MPair(pos, neg, pol):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 
-from .derivation import Derivation, Judgment, assemble, instantiate, match_pattern, rule_of
+from .derivation import Derivation, Judgment, _show, instantiate, match_pattern, rule_of
 from .syntax import (
     PLUS,
     MINUS,
@@ -47,11 +47,11 @@ from .syntax import (
     Top,
     Var,
     Verum,
+    binders,
     check_polarities,
     children,
-    free_vars,
-    fresh_name,
-    substitute,
+    rename_bound,
+    with_children,
 )
 
 
@@ -273,24 +273,18 @@ def _infer(t: Term, path: tuple[int, ...], env: dict, cx: _Ctx) -> Formula:
             b = _infer(body, path + (0,), env, cx)
             other = cx.fresh()
             ty = Or(other, b) if p is PLUS else And(other, b)
-        case Case(scrutinee, x, branch1, y, branch2, _):
-            q = scrutinee.pol
+        case Case(scrutinee, _, branch1, _, branch2, _):
+            _, x, y = binders(t)
             a, b = cx.fresh(), cx.fresh()
-            shape = Or(a, b) if q is PLUS else And(a, b)
+            shape = Or(a, b) if x[1] is PLUS else And(a, b)
             uni(_infer(scrutinee, path + (0,), env, cx), shape)
-            env1 = dict(env)
-            env1[(x, q)] = a
-            t1 = _infer(branch1, path + (1,), env1, cx)
-            env2 = dict(env)
-            env2[(y, q)] = b
-            t2 = _infer(branch2, path + (2,), env2, cx)
+            t1 = _infer(branch1, path + (1,), {**env, x: a}, cx)
+            t2 = _infer(branch2, path + (2,), {**env, y: b}, cx)
             uni(t1, t2)
             ty = t1
-        case Lam(x, body, p):
+        case Lam(_, body, p):
             a = cx.fresh()
-            env1 = dict(env)
-            env1[(x, p)] = a
-            b = _infer(body, path + (0,), env1, cx)
+            b = _infer(body, path + (0,), {**env, binders(t)[0]: a}, cx)
             ty = Imp(a, b) if p is PLUS else CoImp(b, a)
         case App(fun, arg, p):
             tf = _infer(fun, path + (0,), env, cx)
@@ -368,12 +362,6 @@ def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
     return _build(t, (), basis, cx)
 
 
-def _show(f: Formula) -> str:
-    from .textio import print_formula
-
-    return print_formula(f)
-
-
 def _solved(cx: _Ctx, f: Formula) -> Formula:
     """f under the finished substitution, with any metavariable the
     constraints left open pinned to top; memoised in cx, so a part shared
@@ -396,46 +384,37 @@ def _solved(cx: _Ctx, f: Formula) -> Formula:
             return f
 
 
-def _unshadow(
-    binder: str, q: Polarity, formula: Formula, basis: Basis, body: Term
-) -> tuple[str, Term]:
-    held = basis.lookup(binder, q)
-    if held is None or held == formula:
-        return binder, body
-    avoid = basis.names() | {n for n, _ in free_vars(body)} | {binder}
-    renamed = fresh_name(binder, avoid)
-    return renamed, substitute(body, binder, q, Var(renamed, q))
-
-
 def _build(t: Term, path: tuple[int, ...], basis: Basis, cx: _Ctx) -> Derivation:
     """The derivation of t from its rule's row; t itself is its subject
-    unless a binder had to be renamed somewhere inside it."""
+    unless a binder had to be renamed somewhere inside it: one that would
+    shadow a basis entry at another formula."""
     ty = _solved(cx, cx.node_type[path])
     rule = rule_of(t)
     if not rule.prems:
         return Derivation(rule.name, Judgment(basis, t.pol, t, ty))
     env = None  # the rule's pattern variables, matched once a discharge needs them
-    prems, parts = [], []
-    kids = children(t)
+    prems, kids, names = [], [], []
     same = True
-    for i, (p, kid) in enumerate(zip(rule.prems, kids)):
-        inner = basis
-        if p.binds is not None:
+    for i, (p, kid, b) in enumerate(zip(rule.prems, children(t), binders(t))):
+        inner, x = basis, None
+        if b is not None:
             if env is None:
                 env = {}
                 match_pattern(rule.concl, ty, env)
                 for q, d in zip(rule.prems, prems):
                     match_pattern(q.type, d.concl.type, env)
-            field, q, pattern = p.binds
-            bound = instantiate(pattern, env)
-            x, kid = _unshadow(getattr(t, field), q, bound, basis, kid)
-            inner = basis.extend(x, q, bound)
-            parts.append(x)
-            same = same and x == getattr(t, field)
+            bound = instantiate(p.binds[1], env)
+            x = b[0]
+            held = basis.lookup(*b)
+            if held is not None and held != bound:
+                x, kid = rename_bound(b, kid, basis.names())
+                same = False
+            inner = basis.extend(x, b[1], bound)
         d = _build(kid, path + (i,), inner, cx)
         prems.append(d)
-        parts.append(d.concl.term)
-        same = same and d.concl.term is kids[i]
+        kids.append(d.concl.term)
+        names.append(x)
+        same = same and d.concl.term is kid
     if not same:
-        t = assemble(rule, parts, t.pol)
+        t = with_children(t, kids, names)
     return Derivation(rule.name, Judgment(basis, t.pol, t, ty), tuple(prems))

@@ -1,10 +1,16 @@
-"""The rule-by-rule validator and the alpha-equivalence test as they were
-written before the rule table (`l2int.derivation.RULE_TABLE`) and
-`alpha_key` took over, kept as references for the differential tests."""
+"""Former code kept as references for the differential tests: the
+rule-by-rule validator and the alpha-equivalence test as they were written
+before the rule table (`l2int.derivation.RULE_TABLE`) and `alpha_key` took
+over, and the scoping traversals and the rewrite steps as they were written
+before `syntax.binders` and `rewrite._INTROS` (their simp test also asked
+that a branch not use the other branch's binder)."""
 
 from __future__ import annotations
 
+import itertools
+
 from l2int.derivation import RULES, Derivation, RuleViolation
+from l2int.rewrite import KINDS, NormalizeResult, NotARedex, RedexPosition, TraceStep
 from l2int.syntax import (
     PLUS,
     MINUS,
@@ -27,6 +33,7 @@ from l2int.syntax import (
     Pi1,
     Pi2,
     Polarity,
+    PolarityMismatch,
     Snd,
     Term,
     Top,
@@ -34,6 +41,10 @@ from l2int.syntax import (
     Verum,
     check_polarities,
     children,
+    fresh_name,
+    replace_at,
+    subterm_at,
+    with_children,
 )
 
 
@@ -324,3 +335,272 @@ def former_alpha_eq(t: Term, u: Term) -> bool:
                 )
 
     return go(t, u, {}, {}, 0)
+
+
+# ------------------------------------------------------- scoping traversals
+
+
+def former_free_vars(t: Term) -> set[tuple[str, Polarity]]:
+    match t:
+        case Var(name, pol):
+            return {(name, pol)}
+        case Top() | Bot():
+            return set()
+        case Lam(binder, body, pol):
+            return former_free_vars(body) - {(binder, pol)}
+        case Case(scrutinee, binder1, branch1, binder2, branch2, _):
+            q = scrutinee.pol
+            return (
+                former_free_vars(scrutinee)
+                | (former_free_vars(branch1) - {(binder1, q)})
+                | (former_free_vars(branch2) - {(binder2, q)})
+            )
+        case _:
+            out: set[tuple[str, Polarity]] = set()
+            for c in children(t):
+                out |= former_free_vars(c)
+            return out
+
+
+def _names(vs: set[tuple[str, Polarity]]) -> set[str]:
+    return {n for n, _ in vs}
+
+
+def former_substitute(t: Term, name: str, pol: Polarity, s: Term) -> Term:
+    if s.pol is not pol:
+        raise PolarityMismatch(f"cannot substitute a {s.pol} term for {name}{pol}")
+    fv_s = former_free_vars(s)
+
+    def go(t: Term) -> Term:
+        match t:
+            case Var(n, p):
+                return s if (n, p) == (name, pol) else t
+            case Top() | Bot():
+                return t
+            case Lam(binder, body, p):
+                if (binder, p) == (name, pol):
+                    return t
+                if (binder, p) in fv_s and (name, pol) in former_free_vars(body):
+                    avoid = _names(fv_s | former_free_vars(body)) | {binder}
+                    b2 = fresh_name(binder, avoid)
+                    body = former_substitute(body, binder, p, Var(b2, p))
+                    return Lam(b2, go(body), p)
+                return Lam(binder, go(body), p)
+            case Case(scrutinee, b1, s1, b2, s2, p):
+                q = scrutinee.pol
+                r = go(scrutinee)
+
+                def branch(b: str, body: Term) -> tuple[str, Term]:
+                    if (b, q) == (name, pol):
+                        return b, body
+                    if (b, q) in fv_s and (name, pol) in former_free_vars(body):
+                        avoid = _names(fv_s | former_free_vars(body)) | {b}
+                        nb = fresh_name(b, avoid)
+                        return nb, go(former_substitute(body, b, q, Var(nb, q)))
+                    return b, go(body)
+
+                nb1, ns1 = branch(b1, s1)
+                nb2, ns2 = branch(b2, s2)
+                return Case(r, nb1, ns1, nb2, ns2, p)
+            case _:
+                return with_children(t, tuple(go(c) for c in children(t)))
+
+    return go(t)
+
+
+def former_alpha_key(t: Term):
+    def go(t: Term, env: dict, depth: int):
+        match t:
+            case Var(n, p):
+                k = env.get((n, p))
+                return ("b", k, p.value) if k is not None else ("f", n, p.value)
+            case Top():
+                return ("top",)
+            case Bot():
+                return ("bot",)
+            case Lam(b, body, p):
+                e = dict(env)
+                e[(b, p)] = depth
+                return ("lam", p.value, go(body, e, depth + 1))
+            case Case(r, x, s, y, u, p):
+                q = r.pol
+                ex = dict(env)
+                ex[(x, q)] = depth
+                ey = dict(env)
+                ey[(y, q)] = depth
+                return (
+                    "case",
+                    p.value,
+                    go(r, env, depth),
+                    go(s, ex, depth + 1),
+                    go(u, ey, depth + 1),
+                )
+            case _:
+                tag = type(t).__name__.lower()
+                return (tag, t.pol.value) + tuple(go(c, env, depth) for c in children(t))
+
+    return go(t, {}, 0)
+
+
+def former_canonical_variable_form(t: Term) -> Term:
+    fresh = map("v{}".format, itertools.count())
+    free: dict[tuple[str, Polarity], str] = {}
+
+    def go(t: Term, bound: dict[tuple[str, Polarity], str]) -> Term:
+        match t:
+            case Var(n, p):
+                name = bound.get((n, p))
+                if name is None:
+                    name = free.setdefault((n, p), next(fresh))
+                return Var(name, p)
+            case Lam(x, body, p):
+                nx = next(fresh)
+                inner = dict(bound)
+                inner[(x, p)] = nx
+                return Lam(nx, go(body, inner), p)
+            case Case(scrutinee, x, s1, y, s2, p):
+                q = scrutinee.pol
+                r = go(scrutinee, bound)
+                nx = next(fresh)
+                in1 = dict(bound)
+                in1[(x, q)] = nx
+                b1 = go(s1, in1)
+                ny = next(fresh)
+                in2 = dict(bound)
+                in2[(y, q)] = ny
+                b2 = go(s2, in2)
+                return Case(r, nx, b1, ny, b2, p)
+            case _:
+                return with_children(t, tuple(go(c, bound) for c in children(t)))
+
+    return go(t, {})
+
+
+# ------------------------------------------------------------ rewrite steps
+
+
+def _redexes_here(t: Term) -> list[tuple[str, str]]:
+    out: list[tuple[str, str]] = []
+    match t:
+        case App(Lam(), _, _):
+            out.append(("beta", "beta-App"))
+        case App(Case(), _, _):
+            out.append(("perm", "perm-App"))
+        case Pi1(MPair()):
+            out.append(("beta", "beta-Pi1"))
+        case Pi1(Case()):
+            out.append(("perm", "perm-Pi1"))
+        case Pi2(MPair()):
+            out.append(("beta", "beta-Pi2"))
+        case Pi2(Case()):
+            out.append(("perm", "perm-Pi2"))
+        case Fst(Pair(), _):
+            out.append(("beta", "beta-Fst"))
+        case Fst(Case(), _):
+            out.append(("perm", "perm-Fst"))
+        case Snd(Pair(), _):
+            out.append(("beta", "beta-Snd"))
+        case Snd(Case(), _):
+            out.append(("perm", "perm-Snd"))
+        case Case(scrutinee=Inl()):
+            out.append(("beta", "beta-CaseInl"))
+        case Case(scrutinee=Inr()):
+            out.append(("beta", "beta-CaseInr"))
+        case Case(scrutinee=Case()):
+            out.append(("perm", f"perm-Case{t.pol}"))
+    if isinstance(t, Case):
+        q = t.scrutinee.pol
+        binders = {(t.binder1, q), (t.binder2, q)}
+        if not (binders & former_free_vars(t.branch1)):
+            out.append(("simp", "simp-left"))
+        if not (binders & former_free_vars(t.branch2)):
+            out.append(("simp", "simp-right"))
+    return out
+
+
+def former_find_redexes(t: Term) -> list[RedexPosition]:
+    out: list[RedexPosition] = []
+
+    def go(t: Term, path: tuple[int, ...]) -> None:
+        for kind, detail in _redexes_here(t):
+            out.append(RedexPosition(path, kind, detail))
+        for i, c in enumerate(children(t)):
+            go(c, path + (i,))
+
+    go(t, ())
+    return out
+
+
+def _freshen_branch(binder: str, body: Term, q, avoid: Term | tuple[Term, ...]):
+    moved = avoid if isinstance(avoid, tuple) else (avoid,)
+    incoming = set()
+    for u in moved:
+        incoming |= former_free_vars(u)
+    if (binder, q) not in incoming:
+        return binder, body
+    taken = {n for n, _ in incoming | former_free_vars(body)} | {binder}
+    renamed = fresh_name(binder, taken)
+    return renamed, former_substitute(body, binder, q, Var(renamed, q))
+
+
+def _push_into_case(c: Case, wrap, pol, avoid: tuple[Term, ...] = ()) -> Case:
+    q = c.scrutinee.pol
+    x, s1 = _freshen_branch(c.binder1, c.branch1, q, avoid)
+    y, s2 = _freshen_branch(c.binder2, c.branch2, q, avoid)
+    return Case(c.scrutinee, x, wrap(s1), y, wrap(s2), pol)
+
+
+def _contract(t: Term, detail: str) -> Term:
+    match detail, t:
+        case "beta-App", App(Lam(x, body, p), s, _):
+            return former_substitute(body, x, p, s)
+        case "beta-Pi1", Pi1(MPair(pos, _, _)):
+            return pos
+        case "beta-Pi2", Pi2(MPair(_, neg, _)):
+            return neg
+        case "beta-Fst", Fst(Pair(left, _, _), _):
+            return left
+        case "beta-Snd", Snd(Pair(_, right, _), _):
+            return right
+        case "beta-CaseInl", Case(Inl(r, q), x, s1, _, _, _):
+            return former_substitute(s1, x, q, r)
+        case "beta-CaseInr", Case(Inr(r, q), _, _, y, s2, _):
+            return former_substitute(s2, y, q, r)
+        case "perm-App", App(Case() as c, u, p):
+            return _push_into_case(c, lambda b: App(b, u, p), p, avoid=(u,))
+        case "perm-Pi1", Pi1(Case() as c):
+            return _push_into_case(c, Pi1, PLUS)
+        case "perm-Pi2", Pi2(Case() as c):
+            return _push_into_case(c, Pi2, MINUS)
+        case "perm-Fst", Fst(Case() as c, p):
+            return _push_into_case(c, lambda b: Fst(b, p), p)
+        case "perm-Snd", Snd(Case() as c, p):
+            return _push_into_case(c, lambda b: Snd(b, p), p)
+        case ("perm-Case+" | "perm-Case-"), Case(Case() as c, z1, u1, z2, u2, p):
+            wrap = lambda b: Case(b, z1, u1, z2, u2, p)
+            return _push_into_case(c, wrap, p, avoid=(u1, u2))
+        case "simp-left", Case(_, _, s1, _, _, _):
+            return s1
+        case "simp-right", Case(_, _, _, _, s2, _):
+            return s2
+    raise NotARedex(f"no {detail} redex at this position")
+
+
+def former_step(t: Term, pos: RedexPosition) -> Term:
+    sub = subterm_at(t, pos.path)
+    if (pos.kind, pos.detail) not in _redexes_here(sub):
+        raise NotARedex(f"no {pos.detail} redex at {pos.path}")
+    return replace_at(t, pos.path, _contract(sub, pos.detail))
+
+
+def former_normalize(t: Term, fuel: int) -> NormalizeResult:
+    steps: list[TraceStep] = []
+    while True:
+        rs = former_find_redexes(t)
+        if not rs:
+            return NormalizeResult(t, steps)
+        if len(steps) >= fuel:
+            return NormalizeResult(t, steps, exhausted=True)
+        pos = min(rs, key=lambda r: KINDS.index(r.kind))
+        t = former_step(t, pos)
+        steps.append(TraceStep(pos, t))

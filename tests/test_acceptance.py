@@ -1,4 +1,6 @@
-"""Whole-system acceptance suite: nine headline properties at scale.
+"""Whole-system acceptance suite: nine headline properties at scale, and
+a differential check of `normalize` against its former code on the same
+corpora.
 
 Each test checks one property and prints as a single pytest line.  The
 random corpora are built once per session and shared; generation time is
@@ -54,10 +56,12 @@ from l2int.testkit import (
     gen_formula,
     oracle_reduce_all,
 )
-from l2int.textio import parse_formula, parse_term, print_term
+from l2int.textio import derivation_from_json, parse_formula, parse_term, print_term
 from l2int.typecheck import TypeScheme, Untypable, check, infer_principal, schemes_equal
 
+from former import former_normalize
 from conftest import (
+    DATA,
     WORKED_FIRST_TERM,
     WORKED_FIRST_TYPE,
     WORKED_SECOND_TERM,
@@ -362,22 +366,23 @@ def test_07_principal_types_of_identity_combinators():
 def test_08_confluence_probe_on_small_terms(small_term_corpus):
     terms, build_seconds = small_term_corpus
     t0 = time.perf_counter()
-    findings = []
+    out_of_depth, divergent = [], []
     for t in terms:
         result = oracle_reduce_all(t, max_depth=64)
         if not result.complete:
-            findings.append(f"closure ran out of depth: {print_term(t)}")
+            out_of_depth.append(print_term(t))
             continue
         canonical = normalize(t)
         assert not canonical.exhausted
         keys = {alpha_key(nf) for nf in result.normal_forms}
         assert alpha_key(canonical.term) in keys
         if len(keys) != 1:
-            findings.append(f"{len(keys)} normal forms: {print_term(t)}")
-    if findings:
+            divergent.append(f"{len(keys)} normal forms: {print_term(t)}")
+    if out_of_depth or divergent:
         warnings.warn(
-            f"confluence probe: {len(findings)} of {len(terms)} terms "
-            f"inconclusive or divergent; first: {findings[0]}"
+            f"confluence probe over {len(terms)} terms: closure ran out of depth "
+            f"on {len(out_of_depth)}, more than one normal form on {len(divergent)}; "
+            f"first: {(divergent + out_of_depth)[0]}"
         )
     assert build_seconds + time.perf_counter() - t0 < 300.0
 
@@ -402,3 +407,27 @@ def test_09_fuel_adequacy_across_corpora(
             checked[label] += 1
     for label in sources:
         assert checked[label] >= 1_000, label
+
+
+def _node_terms(d):
+    yield d.concl.term
+    for p in d.prems:
+        yield from _node_terms(p)
+
+
+def test_normalize_traces_match_former_normalize(
+    standard_corpus, redex_heavy_corpus, small_term_corpus
+):
+    # The same terms test_09 normalizes, and every node of tests/data.
+    files = [p.read_text() for p in sorted(DATA.glob("*.json"))]
+    files += [line for p in sorted(DATA.glob("*.jsonl")) for line in p.read_text().splitlines()]
+    sources = {
+        "data": [t for text in files for t in _node_terms(derivation_from_json(text))],
+        "standard": [d.concl.term for d in standard_corpus[0]],
+        "redex-heavy": [d.concl.term for d in redex_heavy_corpus],
+        "small": small_term_corpus[0],
+    }
+    for label, terms in sources.items():
+        for t in terms:
+            if term_size(t) <= 60:
+                assert normalize(t, 10_000) == former_normalize(t, 10_000), (label, print_term(t))

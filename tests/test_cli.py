@@ -47,6 +47,18 @@ def test_check_invalid_derivation(tmp_path, capsys):
     assert "root:" in err
 
 
+def test_check_prints_formulas_as_written(tmp_path, capsys):
+    d = json.loads(Path(FIRST).read_text())
+    leaf = d["prems"][0]["prems"][1]["prems"][0]["prems"][0]
+    assert leaf["rule"] == "Hyp+"
+    leaf["concl"]["type"] = "b & c"
+    p = tmp_path / "leaf.json"
+    p.write_text(json.dumps(d))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 1
+    assert "0.1.0.0: x+ is not assumed at b & c in the basis" in err
+
+
 def test_check_malformed_file(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
@@ -268,6 +280,16 @@ def test_equal_distinct_and_modulo_duality(capsys):
     )
     assert code == 0
     assert out == "identical-modulo-duality\n"
+
+
+def test_equal_ignores_the_other_branch_binder_name(capsys):
+    # simp keeps a branch that does not use its own binder, whatever the
+    # other branch's binder is called
+    code, out, _ = run(
+        capsys, "equal", "-e", "case x+ {a+. b+ | b+. c+}+", "-e", "case x+ {a+. b+ | d+. c+}+"
+    )
+    assert code == 0
+    assert out == "identical\n"
 
 
 def test_equal_needs_two_terms(capsys):

@@ -2,8 +2,12 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+from former import former_find_redexes, former_free_vars, former_normalize, former_step
+from l2int.meaning import IDENTICAL, identity_verdict
 from l2int.rewrite import (
     DEFAULT_FUEL,
+    KINDS,
+    NormalizeResult,
     NotARedex,
     RedexPosition,
     find_redexes,
@@ -11,9 +15,22 @@ from l2int.rewrite import (
     normalize,
     step,
 )
-from l2int.syntax import alpha_eq, free_vars, term_size
+from l2int.syntax import (
+    Case,
+    Lam,
+    PolarityMismatch,
+    Top,
+    Var,
+    alpha_eq,
+    children,
+    free_vars,
+    substitute,
+    term_size,
+    with_children,
+)
 from l2int.testkit import GenConfig, gen_derivation
 from l2int.textio import parse_term, print_term
+from test_syntax import TERMS
 
 
 def reduce_once(src: str) -> str:
@@ -74,6 +91,8 @@ def test_perm_app_avoids_capture():
     # the argument's free x+ must not be captured by the branch binder
     got = reduce_once("app+(case z+ {x+. f+ | y+. g+}+, x+)")
     assert got == "case z+ {x1+. app+(f+, x+) | y+. app+(g+, x+)}+"
+    got = reduce_once("app+(case z+ {x+. f+ | y+. g+}+, <x+, x1+>+)")
+    assert got == "case z+ {x2+. app+(f+, <x+, x1+>+) | y+. app+(g+, <x+, x1+>+)}+"
 
 
 def test_perm_pi1_result_is_positive():
@@ -136,8 +155,12 @@ def test_simp_right():
 
 
 def test_simp_needs_both_binders_absent():
-    # branch1 mentions the *other* binder, so it cannot be kept
-    assert only_detail("case z+ {x+. y+ | y+. w+}+") == "simp-right"
+    # each branch needs only its own binder absent: branch1's y+ is free,
+    # not the other branch's binder, so renaming that binder changes nothing
+    def redexes(src):
+        return find_redexes(parse_term(src))
+
+    assert redexes("case z+ {x+. y+ | y+. w+}+") == redexes("case z+ {x+. y+ | v+. w+}+")
     assert find_redexes(parse_term("case z+ {x+. x+ | y+. y+}+")) == []
 
 
@@ -242,3 +265,83 @@ def test_normal_forms_alpha_stable(seed):
     if not r.exhausted:
         assert alpha_eq(r.term, normalize(r.term).term)
         assert term_size(r.term) >= 1
+
+
+# ------------------------------------------- against the former rewrite code
+
+
+def _sibling_binder_free(t) -> bool:
+    """Whether some case in t has a branch in which the other branch's
+    binder is free; only there did the former simp test differ."""
+    match t:
+        case Case(r, x, s, y, u, _):
+            if (y, r.pol) in former_free_vars(s) or (x, r.pol) in former_free_vars(u):
+                return True
+    return any(_sibling_binder_free(c) for c in children(t))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (PolarityMismatch, NotARedex) as e:
+        return type(e).__name__, str(e)
+
+
+@hyp.given(TERMS)
+@hyp.settings(max_examples=400, deadline=None)
+def test_rewrite_matches_former_rewrite(t):
+    # Redexes and contractions agree along the canonical path until a term
+    # with a sibling's binder free is reached; normalize agrees when its
+    # former trace reaches none.
+    u = t
+    for _ in range(12):
+        if _sibling_binder_free(u):
+            break
+        rs = find_redexes(u)
+        assert rs == former_find_redexes(u)
+        for r in rs + [RedexPosition(r.path, "beta", "beta-App") for r in rs]:
+            assert _outcome(step, u, r) == _outcome(former_step, u, r)
+        if not rs:
+            break
+        u = _outcome(step, u, min(rs, key=lambda r: KINDS.index(r.kind)))
+        if isinstance(u, tuple):
+            break
+    want = _outcome(former_normalize, t, 12)
+    if isinstance(want, NormalizeResult):
+        if not any(map(_sibling_binder_free, [t, *(s.after for s in want.steps)])):
+            assert normalize(t, 12) == want
+
+
+def _renamed(t, draw):
+    """t with each binder renamed to draw(names) of names: its own name, a
+    fresh one, or one free in the other branch of its case, so long as the
+    name is not free in the binder's scope."""
+
+    def pick(name, pol, body, other=Top()):
+        avoid = free_vars(body) - {(name, pol)}
+        near = sorted(n for n, p in free_vars(other) if p is pol)
+        x = draw([n for n in [name, "r", *near] if (n, pol) not in avoid])
+        return x, _renamed(substitute(body, name, pol, Var(x, pol)), draw)
+
+    match t:
+        case Lam(b, body, p):
+            return Lam(*pick(b, p, body), p)
+        case Case(r, x, s, y, u, p):
+            return Case(_renamed(r, draw), *pick(x, r.pol, s, u), *pick(y, r.pol, u, s), p)
+    return with_children(t, tuple(_renamed(c, draw) for c in children(t)))
+
+
+@hyp.given(st.integers(0, 10_000), st.data())
+@hyp.settings(max_examples=150, deadline=None)
+def test_redexes_and_normal_forms_are_alpha_invariant(seed, data):
+    weights = {"OrE": 4.0, "AndE_d": 4.0}
+    t = gen_derivation(GenConfig(seed=seed, max_height=5, rule_weights=weights)).concl.term
+    hyp.assume(term_size(t) <= 30)
+    u = _renamed(t, lambda names: data.draw(st.sampled_from(names)))
+    assert alpha_eq(t, u)
+    where = lambda rs: [(r.kind, r.detail, r.path) for r in rs]
+    assert where(find_redexes(t)) == where(find_redexes(u))
+    rt, ru = normalize(t), normalize(u)
+    assert alpha_eq(rt.term, ru.term)
+    assert where(s.position for s in rt.steps) == where(s.position for s in ru.steps)
+    assert identity_verdict(t, u) == IDENTICAL

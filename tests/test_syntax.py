@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 import pytest
 
 import l2int
+from l2int.meaning import canonical_variable_form
 from l2int.syntax import (
     PLUS,
     MINUS,
@@ -44,6 +45,7 @@ from l2int.syntax import (
     Verum,
     alpha_eq,
     alpha_key,
+    binders,
     check_polarities,
     children,
     free_vars,
@@ -56,7 +58,13 @@ from l2int.syntax import (
 )
 from l2int.testkit import GenConfig, gen_derivation
 from l2int.textio import parse_term
-from former import former_alpha_eq
+from former import (
+    former_alpha_eq,
+    former_alpha_key,
+    former_canonical_variable_form,
+    former_free_vars,
+    former_substitute,
+)
 
 
 def t(src):
@@ -118,6 +126,9 @@ def test_substitute_avoids_capture():
     assert out.binder == "y1"
     assert out.body == App(Var("y1", PLUS), Var("y", PLUS), PLUS)
     assert alpha_eq(term, substitute(term, "x", PLUS, Var("z", PLUS))) is False
+    # the new name avoids the substituted term's free names and the body's
+    out = substitute(t("(\\y+. <x+, y2+>+)+"), "x", PLUS, t("<y+, y1+>+"))
+    assert out == t("(\\y3+. <<y+, y1+>+, y2+>+)+")
 
 
 def test_substitute_avoids_capture_in_case():
@@ -378,6 +389,33 @@ def test_alpha_eq_matches_former_alpha_eq(a, b, data):
         assert alpha_eq(a, u) == former_alpha_eq(a, u)
         assert alpha_eq(u, a) == former_alpha_eq(u, a)
     assert alpha_eq(a, renamed)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PolarityMismatch as e:
+        return str(e)
+
+
+@hyp.given(TERMS, _NAMES, _POLS, TERMS)
+@hyp.settings(max_examples=400, deadline=None)
+def test_scoping_matches_former_code(term, name, pol, s):
+    assert free_vars(term) == former_free_vars(term)
+    assert alpha_key(term) == former_alpha_key(term)
+    assert canonical_variable_form(term) == former_canonical_variable_form(term)
+    for v in (Var(name, pol), s):
+        assert _outcome(substitute, term, name, pol, v) == _outcome(former_substitute, term, name, pol, v)
+
+
+def test_binders_state_the_scope_of_each_child():
+    assert binders(t("(\\x-. y-)-")) == (("x", MINUS),)
+    assert binders(t("case z- {x-. top+ | y-. top+}+")) == (None, ("x", MINUS), ("y", MINUS))
+    assert binders(t("app+(f+, x+)")) == (None, None)
+    assert binders(t("x+")) == binders(t("top+")) == ()
+    renamed = with_children(t("case z+ {x+. x+ | y+. y+}+"), (Var("w", PLUS), Top(), Top()), (None, "a", "b"))
+    assert renamed == t("case w+ {a+. top+ | b+. top+}+")
+    assert with_children(t("(\\x+. x+)+"), (Top(),)) == t("(\\x+. top+)+")
 
 
 def test_alpha_eq_binder_and_scrutinee_polarity_and_free_names():

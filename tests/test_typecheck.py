@@ -237,6 +237,11 @@ def test_check_renames_shadowing_binder():
     lam = d.concl.term
     assert lam.binder != "x"
     assert alpha_eq(lam, parse_term("(\\x+. x+)+"))
+    # the new name is not assumed in the basis either
+    b = Basis.make({"x": Atom("a"), "x1": Atom("b")})
+    d = check(b, PLUS, parse_term("(\\x+. x+)+"), parse_formula("c -> c"))
+    assert validate(d) == []
+    assert d.concl.term == parse_term("(\\x2+. x2+)+")
 
 
 def test_check_renames_a_shadowing_binder_its_body_does_not_use():
