@@ -18,7 +18,8 @@ discharges.  Only the 14 primal rows are written out; the 14 dual rows
 Theorem says they may be: polarities flip, patterns dualize, p1 and p2
 trade places and the mixed pair's premises swap.  `validate`,
 `typecheck.check` (as it rebuilds the tree), the generator and
-`dual_derivation` all read this table.
+`dual_derivation` all read this table; `duality.dual_term` reads the
+constructor side of duality, `_DUAL_CTOR` and `dual_premises`, too.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class Premise:
     @property
     def variables(self) -> set[str]:
         """The pattern variables of its formula and its discharged one."""
-        discharged = metavars_of(self.binds[1]) if self.binds else set()
-        return metavars_of(self.type) | discharged
+        discharged = (self.binds[1],) if self.binds else ()
+        return set(metavars_of(self.type, *discharged))
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,11 @@ _PRIMAL = (
 _DUAL_CTOR = {Top: Bot, Bot: Top, Pi1: Pi2, Pi2: Pi1}
 
 
-def dual_premises(rule: Rule, prems: tuple) -> tuple:
-    """prems, one per premise of rule, in the order of the dual rule's
-    premises: the components of a mixed pair swap under duality."""
-    return prems[::-1] if rule.ctor is MPair else prems
+def dual_premises(ctor: type, prems: tuple) -> tuple:
+    """prems, one per child of a ctor term or premise of its rule, in the
+    order of the dual's: the components of a mixed pair swap under
+    duality."""
+    return prems[::-1] if ctor is MPair else prems
 
 
 def _flip(pol: Polarity | None) -> Polarity | None:
@@ -171,7 +173,7 @@ def _dual_rule(r: Rule) -> Rule:
         binds = p.binds and (p.binds[0].flip(), dual_formula(p.binds[1]))
         return Premise(_flip(p.pol), dual_formula(p.type), binds)
 
-    prems = dual_premises(r, tuple(map(premise, r.prems)))
+    prems = dual_premises(r.ctor, tuple(map(premise, r.prems)))
     ctor = _DUAL_CTOR.get(r.ctor, r.ctor)
     return Rule(r.dual, r.name, ctor, _flip(r.pol), dual_formula(r.concl), prems)
 
@@ -219,14 +221,6 @@ def instantiate(pattern: Formula, env: dict[str, Formula], fresh=None) -> Formul
         return pattern
     left = instantiate(pattern.left, env, fresh)
     return type(pattern)(left, instantiate(pattern.right, env, fresh))
-
-
-def assemble(rule: Rule, parts: list, pol: Polarity) -> Term:
-    """The term of rule from its children, each binder name standing just
-    before the child it scopes, and its polarity."""
-    if rule.ctor in (Pi1, Pi2, Top, Bot):
-        return rule.ctor(*parts)
-    return rule.ctor(*parts, pol)
 
 
 # --------------------------------------------------------------- validation

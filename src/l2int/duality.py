@@ -6,33 +6,17 @@ sides reversed.  On terms the map is pointwise except that the components
 of a mixed pair swap (the plus part of the image is the dual of the minus
 part of the original) and the two projections trade places.  Variable
 names are kept, so applying the map twice gives back the original term
-on the nose, not just up to alpha.
+on the nose, not just up to alpha.  `dual_term` rebuilds every constructor
+alike, with `syntax.build`: it reads the dual constructor from
+`derivation._DUAL_CTOR` and the order of the dual's children from
+`derivation.dual_premises`, the statements the rule table's dual rows are
+computed from.
 """
 
 from __future__ import annotations
 
-from .derivation import RULE_TABLE, Derivation, Judgment, dual_premises
-from .syntax import (
-    Abort,
-    App,
-    Basis,
-    Bot,
-    Case,
-    Fst,
-    Inl,
-    Inr,
-    Lam,
-    MPair,
-    Pair,
-    Pi1,
-    Pi2,
-    Snd,
-    Term,
-    Top,
-    Var,
-    _once,
-    dual_formula,
-)
+from .derivation import _DUAL_CTOR, RULE_TABLE, Derivation, Judgment, dual_premises
+from .syntax import Basis, Term, Var, _once, build, children, dual_formula, parts_with
 
 
 class InvalidDerivation(Exception):
@@ -50,41 +34,12 @@ def _dualizer(duals: dict[int, Term] | None):
             d = duals.get(id(t))
             if d is not None:
                 return d
-        match t:
-            case Var(name, pol):
-                d = Var(name, pol.flip())
-            case Top():
-                d = Bot()
-            case Bot():
-                d = Top()
-            case Abort(body, pol):
-                d = Abort(dual_term(body), pol.flip())
-            case Pair(left, right, pol):
-                d = Pair(dual_term(left), dual_term(right), pol.flip())
-            case Fst(body, pol):
-                d = Fst(dual_term(body), pol.flip())
-            case Snd(body, pol):
-                d = Snd(dual_term(body), pol.flip())
-            case Inl(body, pol):
-                d = Inl(dual_term(body), pol.flip())
-            case Inr(body, pol):
-                d = Inr(dual_term(body), pol.flip())
-            case Case(scrutinee, b1, s1, b2, s2, pol):
-                d = Case(
-                    dual_term(scrutinee), b1, dual_term(s1), b2, dual_term(s2), pol.flip()
-                )
-            case Lam(binder, body, pol):
-                d = Lam(binder, dual_term(body), pol.flip())
-            case App(fun, arg, pol):
-                d = App(dual_term(fun), dual_term(arg), pol.flip())
-            case MPair(pos, neg, _):
-                d = MPair(dual_term(neg), dual_term(pos), t.pol.flip())
-            case Pi1(body):
-                d = Pi2(dual_term(body))
-            case Pi2(body):
-                d = Pi1(dual_term(body))
-            case _:
-                raise TypeError(f"not a term: {t!r}")
+        cls = type(t)
+        if cls is Var:
+            d = Var(t.name, t.pol.flip())
+        else:
+            kids = dual_premises(cls, tuple(map(dual_term, children(t))))
+            d = build(_DUAL_CTOR.get(cls, cls), parts_with(t, kids), t.pol.flip())
         if duals is not None:
             duals[id(t)] = d
         return d
@@ -123,7 +78,7 @@ def dual_derivation(d: Derivation) -> Derivation:
         concl = Judgment(
             _dual_basis(j.basis, formula), j.pol.flip(), term(j.term), formula(j.type)
         )
-        prems = dual_premises(rule, tuple(node(p) for p in d.prems))
+        prems = dual_premises(rule.ctor, tuple(node(p) for p in d.prems))
         return Derivation(rule.dual, concl, prems)
 
     return node(d)

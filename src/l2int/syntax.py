@@ -7,14 +7,22 @@ case branches) bind one polarity only.  `binders` is the one statement of
 which variable each child is scoped under; `free_vars`, `substitute`,
 `alpha_key` and the other traversals that track scope read it, and
 `rename_bound` is the one capture-avoiding renaming of a binder.
+
+Each term constructor's shape is read off its fields once: its children
+are the fields annotated `Term`, and a binder name is the `str` field just
+before the child it scopes.  `children` and `binders` read it, and `build`
+makes a term of any constructor; the parser, the generator and
+`duality.dual_term` build through it.  The binary connectives share one
+base class, `Connective`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
+from operator import attrgetter
 
 
 class Polarity(enum.Enum):
@@ -84,30 +92,32 @@ class Verum(Formula):
     pass
 
 
-@_formula
-class And(Formula):
+@dataclass(frozen=True)
+class Connective(Formula):
+    """A binary connective: And, Or, Imp or CoImp."""
+
     left: Formula
     right: Formula
 
 
 @_formula
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Connective):
+    pass
 
 
 @_formula
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Or(Connective):
+    pass
 
 
 @_formula
-class CoImp(Formula):
+class Imp(Connective):
+    pass
+
+
+@_formula
+class CoImp(Connective):
     """b -< a: something that proves b while refuting a."""
-
-    left: Formula
-    right: Formula
 
 
 @_formula
@@ -118,48 +128,50 @@ class MetaVar(Formula):
 
 
 def atoms_of(f: Formula) -> set[str]:
-    match f:
-        case Atom(name):
-            return {name}
-        case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
-            return atoms_of(a) | atoms_of(b)
-        case _:
-            return set()
+    if isinstance(f, Atom):
+        return {f.name}
+    if isinstance(f, Connective):
+        return atoms_of(f.left) | atoms_of(f.right)
+    return set()
 
 
-def metavars_of(f: Formula) -> set[str]:
-    match f:
-        case MetaVar(name):
-            return {name}
-        case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
-            return metavars_of(a) | metavars_of(b)
-        case _:
-            return set()
+def metavars_of(*formulas: Formula) -> list[str]:
+    """The metavariables of formulas, each once, in order of first
+    occurrence."""
+    order: dict[str, None] = {}
+
+    def walk(f: Formula) -> None:
+        if isinstance(f, MetaVar):
+            order[f.name] = None
+        elif isinstance(f, Connective):
+            walk(f.left)
+            walk(f.right)
+
+    for f in formulas:
+        walk(f)
+    return list(order)
 
 
 def is_ground(f: Formula) -> bool:
     return not metavars_of(f)
 
 
+_DUAL_FORMULA = {Verum: Falsum, Falsum: Verum, And: Or, Or: And, Imp: CoImp, CoImp: Imp}
+
+
 def dual_formula(f: Formula) -> Formula:
     """The dual formula: top and bot swap, conjunction and disjunction swap,
     and the two arrows swap with their sides reversed."""
-    match f:
-        case Atom() | MetaVar():
-            return f
-        case Verum():
-            return Falsum()
-        case Falsum():
-            return Verum()
-        case And(a, b):
-            return Or(dual_formula(a), dual_formula(b))
-        case Or(a, b):
-            return And(dual_formula(a), dual_formula(b))
-        case Imp(a, b):
-            return CoImp(dual_formula(b), dual_formula(a))
-        case CoImp(a, b):
-            return Imp(dual_formula(b), dual_formula(a))
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (Atom, MetaVar)):
+        return f
+    dual = _DUAL_FORMULA.get(type(f))
+    if dual is None:
+        raise TypeError(f"not a formula: {f!r}")
+    if not isinstance(f, Connective):
+        return dual()
+    if isinstance(f, (Imp, CoImp)):
+        return dual(dual_formula(f.right), dual_formula(f.left))
+    return dual(dual_formula(f.left), dual_formula(f.right))
 
 
 # ------------------------------------------------------------------- terms
@@ -179,18 +191,14 @@ class Var(Term):
 class Top(Term):
     """The canonical proof of verum; always positive."""
 
-    @property
-    def pol(self) -> Polarity:
-        return PLUS
+    pol = PLUS
 
 
 @dataclass(frozen=True)
 class Bot(Term):
     """The canonical refutation of falsum; always negative."""
 
-    @property
-    def pol(self) -> Polarity:
-        return MINUS
+    pol = MINUS
 
 
 @dataclass(frozen=True)
@@ -287,10 +295,7 @@ class Pi1(Term):
     """First projection of a mixed pair; always positive."""
 
     body: Term
-
-    @property
-    def pol(self) -> Polarity:
-        return PLUS
+    pol = PLUS
 
 
 @dataclass(frozen=True)
@@ -298,32 +303,42 @@ class Pi2(Term):
     """Second projection of a mixed pair; always negative."""
 
     body: Term
+    pol = MINUS
 
-    @property
-    def pol(self) -> Polarity:
-        return MINUS
+
+def _getter(names: list[str]):
+    """The function from a term to the tuple of its fields names, if any."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    return attrgetter(*names) if names else None
+
+
+# Per constructor, read off its fields: the getter of its children (the
+# fields annotated Term, in order), a None per child, and, where some child
+# is bound, per child the field holding the name of the variable bound over
+# it (the str field just before it) or None.  A constructor without a pol
+# field fixes its polarity as a class attribute.
+_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]] | None] = {}
+_UNBOUND: dict[type, tuple[None, ...]] = {}
+_BINDER_FIELDS: dict[type, tuple[str | None, ...] | None] = {}
+_FIXED_POL: set[type] = set()
+for _cls in Term.__subclasses__():
+    _fields = fields(_cls)
+    _kids = [i for i, f in enumerate(_fields) if f.type == "Term"]
+    _CHILDREN[_cls] = _getter([_fields[i].name for i in _kids])
+    _UNBOUND[_cls] = (None,) * len(_kids)
+    _scoped = tuple(_fields[i - 1].name if i and _fields[i - 1].type == "str" else None for i in _kids)
+    _BINDER_FIELDS[_cls] = _scoped if any(_scoped) else None
+    if "pol" not in {f.name for f in _fields}:
+        _FIXED_POL.add(_cls)
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    """Immediate subterms, left to right.  Binder names are not children."""
-    match t:
-        case Var() | Top() | Bot():
-            return ()
-        case Abort(body) | Fst(body) | Snd(body) | Inl(body) | Inr(body):
-            return (body,)
-        case Pi1(body) | Pi2(body):
-            return (body,)
-        case Pair(left, right):
-            return (left, right)
-        case App(fun, arg):
-            return (fun, arg)
-        case MPair(pos, neg):
-            return (pos, neg)
-        case Lam(_, body):
-            return (body,)
-        case Case(scrutinee, _, branch1, _, branch2):
-            return (scrutinee, branch1, branch2)
-    raise TypeError(f"not a term: {t!r}")
+    """Immediate subterms, left to right.  Binder names are not children.
+    A leaf calls no getter, so a traversal's deepest frame is its own."""
+    get = _CHILDREN[type(t)]
+    return get(t) if get is not None else ()
 
 
 def binders(t: Term) -> tuple[tuple[str, Polarity] | None, ...]:
@@ -337,48 +352,41 @@ def binders(t: Term) -> tuple[tuple[str, Polarity] | None, ...]:
     if cls is Case:
         q = t.scrutinee.pol
         return (None, (t.binder1, q), (t.binder2, q))
-    got = _UNBOUND.get(cls)
-    if got is None:
-        got = _UNBOUND[cls] = (None,) * len(children(t))
-    return got
+    return _UNBOUND[cls]
 
 
-_UNBOUND: dict[type, tuple[None, ...]] = {}  # per constructor, a None per child
+def build(cls: type, parts: Sequence, pol: Polarity) -> Term:
+    """The term of constructor cls with the fields parts, in order: its
+    children, each binder name just before the child it scopes, and a
+    variable's name.  pol is its polarity where cls does not fix it."""
+    return cls(*parts) if cls in _FIXED_POL else cls(*parts, pol)
+
+
+def parts_with(t: Term, new: Sequence[Term], names: Sequence[str | None] | None = None) -> Sequence:
+    """`build`'s parts for t's constructor with the children new and its
+    binder names: names[i] over the binding child i where names is given,
+    else t's own."""
+    scoped = _BINDER_FIELDS[type(t)]
+    if scoped is None:
+        return new
+    parts = []
+    for i, (c, f) in enumerate(zip(new, scoped)):
+        if f is not None:
+            parts.append(names[i] if names else getattr(t, f))
+        parts.append(c)
+    return parts
 
 
 def with_children(t: Term, new: Sequence[Term], names: Sequence[str | None] | None = None) -> Term:
     """t with the children new and, where names is given, the binder
-    names names[i] over the binding children i (see `binders`)."""
-    match t:
-        case Var() | Top() | Bot():
-            return t
-        case Abort(_, pol):
-            return Abort(new[0], pol)
-        case Fst(_, pol):
-            return Fst(new[0], pol)
-        case Snd(_, pol):
-            return Snd(new[0], pol)
-        case Inl(_, pol):
-            return Inl(new[0], pol)
-        case Inr(_, pol):
-            return Inr(new[0], pol)
-        case Pi1():
-            return Pi1(new[0])
-        case Pi2():
-            return Pi2(new[0])
-        case Pair(_, _, pol):
-            return Pair(new[0], new[1], pol)
-        case App(_, _, pol):
-            return App(new[0], new[1], pol)
-        case MPair(_, _, pol):
-            return MPair(new[0], new[1], pol)
-        case Lam(x, _, pol):
-            return Lam(names[0] if names else x, new[0], pol)
-        case Case(_, x, _, y, _, pol):
-            if names:
-                x, y = names[1], names[2]
-            return Case(new[0], x, new[1], y, new[2], pol)
-    raise TypeError(f"not a term: {t!r}")
+    names names[i] over the binding children i (see `binders`).  It does
+    `build`'s work itself, so that a traversal rebuilding each node takes
+    one frame per level and one for the constructor, as before."""
+    cls = type(t)
+    if not _UNBOUND[cls]:
+        return t
+    parts = parts_with(t, new, names)
+    return cls(*parts) if cls in _FIXED_POL else cls(*parts, t.pol)
 
 
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:

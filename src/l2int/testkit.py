@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .derivation import RULE_TABLE, RULES, Derivation, Rule, assemble, instantiate
+from .derivation import RULE_TABLE, RULES, Derivation, Rule, instantiate
 from .rewrite import find_redexes, step
 from .syntax import (
     PLUS,
@@ -35,6 +35,7 @@ from .syntax import (
     Var,
     Verum,
     alpha_key,
+    build,
 )
 from .typecheck import Substitution, UnifyError, _unify, check
 
@@ -189,7 +190,7 @@ class _Gen:
                 parts.append(x)
             subgoal = instantiate(p.type, env, self.fresh_meta)
             parts.append(self.go(subgoal, pol if p.pol is None else p.pol, budget - 1, inner))
-        return assemble(rule, parts, pol)
+        return build(rule.ctor, parts, pol)
 
     def ground(self) -> None:
         for name in self.metas:
@@ -200,27 +201,26 @@ class _Gen:
 
 def gen_derivation(cfg: GenConfig) -> Derivation:
     """A valid derivation of height at most cfg.max_height, seeded by cfg."""
-    rng = random.Random(cfg.seed)
-    for _ in range(_ATTEMPTS):
-        try:
-            return _generate(cfg, rng, None, None)
-        except _Retry:
-            continue
-    raise GenerationFailed("generated terms kept exceeding the size budget")
+    return _generate(cfg, None, None)
 
 
 def gen_derivation_of(cfg: GenConfig, goal: Formula, pol: Polarity) -> Derivation:
     """Like gen_derivation, but concluding the given formula and polarity."""
+    return _generate(cfg, goal, pol)
+
+
+def _generate(cfg: GenConfig, goal: Formula | None, pol: Polarity | None) -> Derivation:
+    """Up to _ATTEMPTS tries of _attempt, all drawing on one rng."""
     rng = random.Random(cfg.seed)
     for _ in range(_ATTEMPTS):
         try:
-            return _generate(cfg, rng, goal, pol)
+            return _attempt(cfg, rng, goal, pol)
         except _Retry:
             continue
     raise GenerationFailed("generated terms kept exceeding the size budget")
 
 
-def _generate(
+def _attempt(
     cfg: GenConfig, rng: random.Random, goal: Formula | None, pol: Polarity | None
 ) -> Derivation:
     g = _Gen(cfg, rng)

@@ -48,8 +48,10 @@ from .syntax import (
     Top,
     Var,
     Verum,
+    _UNBOUND,
     _once,
     binders,
+    build,
     check_polarities,
     children,
     subterm_at,
@@ -89,16 +91,18 @@ class _Token:
     span: SourceSpan
 
 
-_TERM_KEYWORDS = {"top", "bot", "abort", "fst", "snd", "inl", "inr", "case", "app", "p1", "p2"}
+# The constructors written as a keyword, a polarity and their children in
+# parentheses, separated by commas.
+_KEYWORD_CTORS = {
+    "abort": Abort, "fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr, "app": App, "p1": Pi1, "p2": Pi2,
+}
+_CTOR_KEYWORDS = {cls: word for word, cls in _KEYWORD_CTORS.items()}
+_TERM_KEYWORDS = {"top", "bot", "case", *_KEYWORD_CTORS}
 
 
 def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
     toks: list[_Token] = []
     i, line, col = 0, 0, 0
-
-    def span(start: int, end: int, l: int, c: int) -> SourceSpan:
-        return SourceSpan(start, end, l, c)
-
     while i < len(src):
         ch = src[i]
         if ch == "\n":
@@ -112,7 +116,7 @@ def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
             continue
         for op in two_char:
             if src.startswith(op, i):
-                toks.append(_Token(op, op, span(i, i + 2, line, col)))
+                toks.append(_Token(op, op, SourceSpan(i, i + 2, line, col)))
                 i += 2
                 col += 2
                 break
@@ -121,16 +125,16 @@ def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
                 j = i
                 while j < len(src) and (src[j].isalnum() or src[j] == "_"):
                     j += 1
-                toks.append(_Token("ident", src[i:j], span(i, j, line, col)))
+                toks.append(_Token("ident", src[i:j], SourceSpan(i, j, line, col)))
                 col += j - i
                 i = j
             elif ch in singles:
-                toks.append(_Token(ch, ch, span(i, i + 1, line, col)))
+                toks.append(_Token(ch, ch, SourceSpan(i, i + 1, line, col)))
                 i += 1
                 col += 1
             else:
-                raise ParseError(f"unexpected character {ch!r}", span(i, i + 1, line, col))
-    toks.append(_Token("eof", "", span(len(src), len(src), line, col)))
+                raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1, line, col))
+    toks.append(_Token("eof", "", SourceSpan(len(src), len(src), line, col)))
     return toks
 
 
@@ -375,29 +379,19 @@ def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
         if word == "bot":
             p.expect("-")
             return record(Bot())
-        if word in ("abort", "fst", "snd", "inl", "inr", "p1", "p2"):
+        cls = _KEYWORD_CTORS.get(word)
+        if cls is not None:
             pol = _pol(p)
             p.expect("(")
-            body = _term(p, spans)
+            kids = [_term(p, spans)]
+            for _ in _UNBOUND[cls][1:]:  # each further child
+                p.expect(",")
+                kids.append(_term(p, spans))
             p.expect(")")
-            if word == "p1":
-                if pol is not PLUS:
-                    raise ParseError("p1 is always +", tok.span)
-                return record(Pi1(body))
-            if word == "p2":
-                if pol is not MINUS:
-                    raise ParseError("p2 is always -", tok.span)
-                return record(Pi2(body))
-            ctor = {"abort": Abort, "fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr}[word]
-            return record(ctor(body, pol))
-        if word == "app":
-            pol = _pol(p)
-            p.expect("(")
-            fun = _term(p, spans)
-            p.expect(",")
-            arg = _term(p, spans)
-            p.expect(")")
-            return record(App(fun, arg, pol))
+            fixed = getattr(cls, "pol", pol)  # p1 and p2 fix their polarity
+            if pol is not fixed:
+                raise ParseError(f"{word} is always {fixed}", tok.span)
+            return record(build(cls, kids, pol))
         if word == "case":
             scrutinee = _term(p, spans)
             p.expect("{")
@@ -421,6 +415,10 @@ def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
 
 
 def print_term(t: Term) -> str:
+    word = _CTOR_KEYWORDS.get(type(t))
+    if word is not None:
+        kids = list(map(print_term, children(t)))
+        return f"{word}{t.pol}({', '.join(kids)})"
     match t:
         case Var(name, pol):
             return f"{name}{pol}"
@@ -428,18 +426,8 @@ def print_term(t: Term) -> str:
             return "top+"
         case Bot():
             return "bot-"
-        case Abort(body, pol):
-            return f"abort{pol}({print_term(body)})"
         case Pair(left, right, pol):
             return f"<{print_term(left)}, {print_term(right)}>{pol}"
-        case Fst(body, pol):
-            return f"fst{pol}({print_term(body)})"
-        case Snd(body, pol):
-            return f"snd{pol}({print_term(body)})"
-        case Inl(body, pol):
-            return f"inl{pol}({print_term(body)})"
-        case Inr(body, pol):
-            return f"inr{pol}({print_term(body)})"
         case Case(scrutinee, _, s1, _, s2, pol):
             _, (b1, q), (b2, _) = binders(t)
             return (
@@ -449,14 +437,8 @@ def print_term(t: Term) -> str:
         case Lam(_, body, pol):
             ((x, q),) = binders(t)
             return f"(\\{x}{q}. {print_term(body)}){pol}"
-        case App(fun, arg, pol):
-            return f"app{pol}({print_term(fun)}, {print_term(arg)})"
         case MPair(pos, neg, pol):
             return f"{{{print_term(pos)}, {print_term(neg)}}}{pol}"
-        case Pi1(body):
-            return f"p1+({print_term(body)})"
-        case Pi2(body):
-            return f"p2-({print_term(body)})"
     raise TypeError(f"not a term: {t!r}")
 
 

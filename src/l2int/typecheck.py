@@ -28,6 +28,7 @@ from .syntax import (
     Bot,
     Case,
     CoImp,
+    Connective,
     Falsum,
     Formula,
     Fst,
@@ -50,6 +51,7 @@ from .syntax import (
     binders,
     check_polarities,
     children,
+    metavars_of,
     rename_bound,
     with_children,
 )
@@ -93,56 +95,39 @@ class Substitution:
 
     def apply(self, f: Formula) -> Formula:
         f = self.walk(f)
-        match f:
-            case And(a, b):
-                return And(self.apply(a), self.apply(b))
-            case Or(a, b):
-                return Or(self.apply(a), self.apply(b))
-            case Imp(a, b):
-                return Imp(self.apply(a), self.apply(b))
-            case CoImp(a, b):
-                return CoImp(self.apply(a), self.apply(b))
-            case _:
-                return f
+        if isinstance(f, Connective):
+            return type(f)(self.apply(f.left), self.apply(f.right))
+        return f
 
 
 def _occurs(name: str, f: Formula, s: Substitution) -> bool:
     f = s.walk(f)
-    match f:
-        case MetaVar(n):
-            return n == name
-        case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
-            return _occurs(name, a, s) or _occurs(name, b, s)
-        case _:
-            return False
+    if isinstance(f, MetaVar):
+        return f.name == name
+    if isinstance(f, Connective):
+        return _occurs(name, f.left, s) or _occurs(name, f.right, s)
+    return False
 
 
 def _unify(a: Formula, b: Formula, s: Substitution) -> None:
     a, b = s.walk(a), s.walk(b)
     if a is b:
         return
-    match a, b:
-        case MetaVar(x), MetaVar(y) if x == y:
+    if isinstance(a, MetaVar):
+        if isinstance(b, MetaVar) and a.name == b.name:
             return
-        case MetaVar(x), _:
-            if _occurs(x, b, s):
-                raise OccursCheck(f"?{x} occurs inside the formula it must equal")
-            s.mapping[x] = b
-        case _, MetaVar(_):
-            _unify(b, a, s)
-        case Atom(n1), Atom(n2):
-            if n1 != n2:
-                raise Clash(f"atom {n1} is not {n2}")
-        case (Falsum(), Falsum()) | (Verum(), Verum()):
-            return
-        case (And(a1, b1), And(a2, b2)) | (Or(a1, b1), Or(a2, b2)) | (
-            Imp(a1, b1),
-            Imp(a2, b2),
-        ) | (CoImp(a1, b1), CoImp(a2, b2)):
-            _unify(a1, a2, s)
-            _unify(b1, b2, s)
-        case _:
-            raise Clash(f"{type(a).__name__} is not {type(b).__name__}")
+        if _occurs(a.name, b, s):
+            raise OccursCheck(f"?{a.name} occurs inside the formula it must equal")
+        s.mapping[a.name] = b
+    elif isinstance(b, MetaVar):
+        _unify(b, a, s)
+    elif type(a) is not type(b):
+        raise Clash(f"{type(a).__name__} is not {type(b).__name__}")
+    elif isinstance(a, Connective):
+        _unify(a.left, b.left, s)
+        _unify(a.right, b.right, s)
+    elif isinstance(a, Atom) and a.name != b.name:
+        raise Clash(f"atom {a.name} is not {b.name}")
 
 
 def unify(a: Formula, b: Formula) -> Substitution:
@@ -173,35 +158,11 @@ def _letter(i: int) -> str:
 
 
 def _rename_metavars(f: Formula, names: dict[str, str]) -> Formula:
-    match f:
-        case MetaVar(n):
-            return MetaVar(names[n])
-        case And(a, b):
-            return And(_rename_metavars(a, names), _rename_metavars(b, names))
-        case Or(a, b):
-            return Or(_rename_metavars(a, names), _rename_metavars(b, names))
-        case Imp(a, b):
-            return Imp(_rename_metavars(a, names), _rename_metavars(b, names))
-        case CoImp(a, b):
-            return CoImp(_rename_metavars(a, names), _rename_metavars(b, names))
-        case _:
-            return f
-
-
-def _metavar_order(formulas) -> list[str]:
-    order: dict[str, None] = {}
-
-    def walk(f: Formula) -> None:
-        match f:
-            case MetaVar(n):
-                order[n] = None
-            case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
-                walk(a)
-                walk(b)
-
-    for f in formulas:
-        walk(f)
-    return list(order)
+    if isinstance(f, MetaVar):
+        return MetaVar(names[f.name])
+    if isinstance(f, Connective):
+        return type(f)(_rename_metavars(f.left, names), _rename_metavars(f.right, names))
+    return f
 
 
 @dataclass
@@ -320,7 +281,7 @@ def infer_principal(t: Term) -> Principal:
     body = cx.subst.apply(_infer(t, (), {}, cx))
     gamma = sorted((n, cx.subst.apply(f)) for (n, p), f in cx.free.items() if p is PLUS)
     delta = sorted((n, cx.subst.apply(f)) for (n, p), f in cx.free.items() if p is MINUS)
-    order = _metavar_order([f for _, f in gamma] + [f for _, f in delta] + [body])
+    order = metavars_of(*(f for _, f in gamma), *(f for _, f in delta), body)
     names = {n: _letter(i) for i, n in enumerate(order)}
     basis = Basis(
         tuple((n, _rename_metavars(f, names)) for n, f in gamma),
@@ -332,8 +293,8 @@ def infer_principal(t: Term) -> Principal:
 
 def schemes_equal(a: TypeScheme, b: TypeScheme) -> bool:
     """Equality modulo renaming of metavariables."""
-    na = {n: _letter(i) for i, n in enumerate(_metavar_order([a.body]))}
-    nb = {n: _letter(i) for i, n in enumerate(_metavar_order([b.body]))}
+    na = {n: _letter(i) for i, n in enumerate(metavars_of(a.body))}
+    nb = {n: _letter(i) for i, n in enumerate(metavars_of(b.body))}
     return len(a.metavariables) == len(b.metavariables) and _rename_metavars(
         a.body, na
     ) == _rename_metavars(b.body, nb)
@@ -366,22 +327,20 @@ def _solved(cx: _Ctx, f: Formula) -> Formula:
     """f under the finished substitution, with any metavariable the
     constraints left open pinned to top; memoised in cx, so a part shared
     by many node types is resolved once and stays one object."""
-    match f:
-        case MetaVar(n):
-            got = cx.solved_var.get(n)
-            if got is None:
-                bound = cx.subst.mapping.get(n)
-                got = cx.solved_var[n] = Verum() if bound is None else _solved(cx, bound)
-            return got
-        case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
-            got = cx.solved_obj.get(id(f))
-            if got is None:
-                a2, b2 = _solved(cx, a), _solved(cx, b)
-                got = f if a2 is a and b2 is b else type(f)(a2, b2)
-                cx.solved_obj[id(f)] = got
-            return got
-        case _:
-            return f
+    if isinstance(f, MetaVar):
+        got = cx.solved_var.get(f.name)
+        if got is None:
+            bound = cx.subst.mapping.get(f.name)
+            got = cx.solved_var[f.name] = Verum() if bound is None else _solved(cx, bound)
+        return got
+    if isinstance(f, Connective):
+        got = cx.solved_obj.get(id(f))
+        if got is None:
+            a, b = _solved(cx, f.left), _solved(cx, f.right)
+            got = f if a is f.left and b is f.right else type(f)(a, b)
+            cx.solved_obj[id(f)] = got
+        return got
+    return f
 
 
 def _build(t: Term, path: tuple[int, ...], basis: Basis, cx: _Ctx) -> Derivation:

@@ -3,7 +3,16 @@ rule-by-rule validator and the alpha-equivalence test as they were written
 before the rule table (`l2int.derivation.RULE_TABLE`) and `alpha_key` took
 over, and the scoping traversals and the rewrite steps as they were written
 before `syntax.binders` and `rewrite._INTROS` (their simp test also asked
-that a branch not use the other branch's binder)."""
+that a branch not use the other branch's binder).
+
+The last sections keep the code that spelled out each constructor before
+its shape was read off its fields: `children`, `with_children`,
+`dual_term`, `print_term` and the term parser (with its keyword branch),
+each a case per constructor, and the formula traversals that matched the
+four connectives one by one (`dual_formula`, `Substitution.apply`,
+`_rename_metavars`, `_metavar_order` and the unifier).  Everything in this
+module reaches subterms through these copies, so the references do not
+share the code they are compared with."""
 
 from __future__ import annotations
 
@@ -17,6 +26,7 @@ from l2int.syntax import (
     Abort,
     And,
     App,
+    Atom,
     Bot,
     Case,
     CoImp,
@@ -27,6 +37,7 @@ from l2int.syntax import (
     Inl,
     Inr,
     Lam,
+    MetaVar,
     MPair,
     Or,
     Pair,
@@ -39,13 +50,12 @@ from l2int.syntax import (
     Top,
     Var,
     Verum,
+    binders,
     check_polarities,
-    children,
     fresh_name,
-    replace_at,
-    subterm_at,
-    with_children,
 )
+from l2int.textio import ParseError, PolarityError, SourceSpan, _lex, _Parser, _pol, _too_deep
+from l2int.typecheck import Clash, OccursCheck, Substitution
 
 
 def former_validate(d: Derivation) -> list[RuleViolation]:
@@ -329,7 +339,7 @@ def former_alpha_eq(t: Term, u: Term) -> bool:
                 e2[(y2, q2)] = depth
                 return go(u1, u2, e1, e2, depth + 1)
             case _:
-                ct, cu = children(t), children(u)
+                ct, cu = former_children(t), former_children(u)
                 return len(ct) == len(cu) and all(
                     go(a, b, env_t, env_u, depth) for a, b in zip(ct, cu)
                 )
@@ -357,7 +367,7 @@ def former_free_vars(t: Term) -> set[tuple[str, Polarity]]:
             )
         case _:
             out: set[tuple[str, Polarity]] = set()
-            for c in children(t):
+            for c in former_children(t):
                 out |= former_free_vars(c)
             return out
 
@@ -403,7 +413,7 @@ def former_substitute(t: Term, name: str, pol: Polarity, s: Term) -> Term:
                 nb2, ns2 = branch(b2, s2)
                 return Case(r, nb1, ns1, nb2, ns2, p)
             case _:
-                return with_children(t, tuple(go(c) for c in children(t)))
+                return former_with_children(t, tuple(go(c) for c in former_children(t)))
 
     return go(t)
 
@@ -437,7 +447,7 @@ def former_alpha_key(t: Term):
                 )
             case _:
                 tag = type(t).__name__.lower()
-                return (tag, t.pol.value) + tuple(go(c, env, depth) for c in children(t))
+                return (tag, t.pol.value) + tuple(go(c, env, depth) for c in former_children(t))
 
     return go(t, {}, 0)
 
@@ -471,7 +481,7 @@ def former_canonical_variable_form(t: Term) -> Term:
                 b2 = go(s2, in2)
                 return Case(r, nx, b1, ny, b2, p)
             case _:
-                return with_children(t, tuple(go(c, bound) for c in children(t)))
+                return former_with_children(t, tuple(go(c, bound) for c in former_children(t)))
 
     return go(t, {})
 
@@ -524,7 +534,7 @@ def former_find_redexes(t: Term) -> list[RedexPosition]:
     def go(t: Term, path: tuple[int, ...]) -> None:
         for kind, detail in _redexes_here(t):
             out.append(RedexPosition(path, kind, detail))
-        for i, c in enumerate(children(t)):
+        for i, c in enumerate(former_children(t)):
             go(c, path + (i,))
 
     go(t, ())
@@ -587,10 +597,18 @@ def _contract(t: Term, detail: str) -> Term:
 
 
 def former_step(t: Term, pos: RedexPosition) -> Term:
-    sub = subterm_at(t, pos.path)
+    sub = _subterm_at(t, pos.path)
     if (pos.kind, pos.detail) not in _redexes_here(sub):
         raise NotARedex(f"no {pos.detail} redex at {pos.path}")
-    return replace_at(t, pos.path, _contract(sub, pos.detail))
+    return _replace_at(t, pos.path, _contract(sub, pos.detail))
+
+
+def _replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
+    if not path:
+        return new
+    kids = list(former_children(t))
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
+    return former_with_children(t, tuple(kids))
 
 
 def former_normalize(t: Term, fuel: int) -> NormalizeResult:
@@ -604,3 +622,375 @@ def former_normalize(t: Term, fuel: int) -> NormalizeResult:
         pos = min(rs, key=lambda r: KINDS.index(r.kind))
         t = former_step(t, pos)
         steps.append(TraceStep(pos, t))
+
+
+# ------------------------------------------------------ constructor shapes
+
+
+def former_children(t: Term) -> tuple[Term, ...]:
+    """Immediate subterms, left to right.  Binder names are not children."""
+    match t:
+        case Var() | Top() | Bot():
+            return ()
+        case Abort(body) | Fst(body) | Snd(body) | Inl(body) | Inr(body):
+            return (body,)
+        case Pi1(body) | Pi2(body):
+            return (body,)
+        case Pair(left, right):
+            return (left, right)
+        case App(fun, arg):
+            return (fun, arg)
+        case MPair(pos, neg):
+            return (pos, neg)
+        case Lam(_, body):
+            return (body,)
+        case Case(scrutinee, _, branch1, _, branch2):
+            return (scrutinee, branch1, branch2)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def former_with_children(t: Term, new, names=None) -> Term:
+    match t:
+        case Var() | Top() | Bot():
+            return t
+        case Abort(_, pol):
+            return Abort(new[0], pol)
+        case Fst(_, pol):
+            return Fst(new[0], pol)
+        case Snd(_, pol):
+            return Snd(new[0], pol)
+        case Inl(_, pol):
+            return Inl(new[0], pol)
+        case Inr(_, pol):
+            return Inr(new[0], pol)
+        case Pi1():
+            return Pi1(new[0])
+        case Pi2():
+            return Pi2(new[0])
+        case Pair(_, _, pol):
+            return Pair(new[0], new[1], pol)
+        case App(_, _, pol):
+            return App(new[0], new[1], pol)
+        case MPair(_, _, pol):
+            return MPair(new[0], new[1], pol)
+        case Lam(x, _, pol):
+            return Lam(names[0] if names else x, new[0], pol)
+        case Case(_, x, _, y, _, pol):
+            if names:
+                x, y = names[1], names[2]
+            return Case(new[0], x, new[1], y, new[2], pol)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def former_dual_term(t: Term) -> Term:
+    match t:
+        case Var(name, pol):
+            return Var(name, pol.flip())
+        case Top():
+            return Bot()
+        case Bot():
+            return Top()
+        case Abort(body, pol):
+            return Abort(former_dual_term(body), pol.flip())
+        case Pair(left, right, pol):
+            return Pair(former_dual_term(left), former_dual_term(right), pol.flip())
+        case Fst(body, pol):
+            return Fst(former_dual_term(body), pol.flip())
+        case Snd(body, pol):
+            return Snd(former_dual_term(body), pol.flip())
+        case Inl(body, pol):
+            return Inl(former_dual_term(body), pol.flip())
+        case Inr(body, pol):
+            return Inr(former_dual_term(body), pol.flip())
+        case Case(scrutinee, b1, s1, b2, s2, pol):
+            return Case(
+                former_dual_term(scrutinee), b1, former_dual_term(s1), b2, former_dual_term(s2), pol.flip()
+            )
+        case Lam(binder, body, pol):
+            return Lam(binder, former_dual_term(body), pol.flip())
+        case App(fun, arg, pol):
+            return App(former_dual_term(fun), former_dual_term(arg), pol.flip())
+        case MPair(pos, neg, _):
+            return MPair(former_dual_term(neg), former_dual_term(pos), t.pol.flip())
+        case Pi1(body):
+            return Pi2(former_dual_term(body))
+        case Pi2(body):
+            return Pi1(former_dual_term(body))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def former_print_term(t: Term) -> str:
+    match t:
+        case Var(name, pol):
+            return f"{name}{pol}"
+        case Top():
+            return "top+"
+        case Bot():
+            return "bot-"
+        case Abort(body, pol):
+            return f"abort{pol}({former_print_term(body)})"
+        case Pair(left, right, pol):
+            return f"<{former_print_term(left)}, {former_print_term(right)}>{pol}"
+        case Fst(body, pol):
+            return f"fst{pol}({former_print_term(body)})"
+        case Snd(body, pol):
+            return f"snd{pol}({former_print_term(body)})"
+        case Inl(body, pol):
+            return f"inl{pol}({former_print_term(body)})"
+        case Inr(body, pol):
+            return f"inr{pol}({former_print_term(body)})"
+        case Case(scrutinee, _, s1, _, s2, pol):
+            _, (b1, q), (b2, _) = binders(t)
+            return (
+                f"case {former_print_term(scrutinee)} "
+                f"{{{b1}{q}. {former_print_term(s1)} | {b2}{q}. {former_print_term(s2)}}}{pol}"
+            )
+        case Lam(_, body, pol):
+            ((x, q),) = binders(t)
+            return f"(\\{x}{q}. {former_print_term(body)}){pol}"
+        case App(fun, arg, pol):
+            return f"app{pol}({former_print_term(fun)}, {former_print_term(arg)})"
+        case MPair(pos, neg, pol):
+            return f"{{{former_print_term(pos)}, {former_print_term(neg)}}}{pol}"
+        case Pi1(body):
+            return f"p1+({former_print_term(body)})"
+        case Pi2(body):
+            return f"p2-({former_print_term(body)})"
+    raise TypeError(f"not a term: {t!r}")
+
+
+_TERM_KEYWORDS = {"top", "bot", "abort", "fst", "snd", "inl", "inr", "case", "app", "p1", "p2"}
+
+
+def former_parse_term(src: str) -> Term:
+    spans: dict[int, SourceSpan] = {}
+    p = _Parser(_lex(src, (), "()<>{},.|\\+-"))
+    try:
+        t = _term(p, spans)
+        if p.peek().kind != "eof":
+            p.fail(f"unexpected {p.peek().text!r} after term")
+        violations = check_polarities(t)
+    except RecursionError as e:
+        raise _too_deep(p) from e
+    if violations:
+        v = violations[0]
+        raise PolarityError(v.message, spans[id(_subterm_at(t, v.path))])
+    return t
+
+
+def _subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+    for i in path:
+        t = former_children(t)[i]
+    return t
+
+
+def _binder(p: _Parser) -> tuple[str, Polarity]:
+    t = p.expect("ident")
+    if t.text in _TERM_KEYWORDS:
+        raise ParseError(f"{t.text!r} is reserved and cannot bind", t.span)
+    return t.text, _pol(p)
+
+
+def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
+    start = p.peek().span
+
+    def record(t: Term) -> Term:
+        end = p.toks[p.pos - 1].span if p.pos else start
+        spans[id(t)] = SourceSpan(start.start, end.end, start.line, start.column)
+        return t
+
+    tok = p.peek()
+    if tok.kind == "(":
+        if p.peek(1).kind == "\\":
+            p.next()
+            p.next()
+            name, bpol = _binder(p)
+            p.expect(".")
+            body = _term(p, spans)
+            p.expect(")")
+            pol = _pol(p)
+            if bpol is not pol:
+                raise ParseError(
+                    f"lambda binder is {bpol} but the lambda is {pol}", tok.span
+                )
+            return record(Lam(name, body, pol))
+        p.next()
+        t = _term(p, spans)
+        p.expect(")")
+        return record(t)
+    if tok.kind == "<":
+        p.next()
+        left = _term(p, spans)
+        p.expect(",")
+        right = _term(p, spans)
+        p.expect(">")
+        return record(Pair(left, right, _pol(p)))
+    if tok.kind == "{":
+        p.next()
+        pos = _term(p, spans)
+        p.expect(",")
+        neg = _term(p, spans)
+        p.expect("}")
+        return record(MPair(pos, neg, _pol(p)))
+    if tok.kind == "ident":
+        p.next()
+        word = tok.text
+        if word == "top":
+            p.expect("+")
+            return record(Top())
+        if word == "bot":
+            p.expect("-")
+            return record(Bot())
+        if word in ("abort", "fst", "snd", "inl", "inr", "p1", "p2"):
+            pol = _pol(p)
+            p.expect("(")
+            body = _term(p, spans)
+            p.expect(")")
+            if word == "p1":
+                if pol is not PLUS:
+                    raise ParseError("p1 is always +", tok.span)
+                return record(Pi1(body))
+            if word == "p2":
+                if pol is not MINUS:
+                    raise ParseError("p2 is always -", tok.span)
+                return record(Pi2(body))
+            ctor = {"abort": Abort, "fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr}[word]
+            return record(ctor(body, pol))
+        if word == "app":
+            pol = _pol(p)
+            p.expect("(")
+            fun = _term(p, spans)
+            p.expect(",")
+            arg = _term(p, spans)
+            p.expect(")")
+            return record(App(fun, arg, pol))
+        if word == "case":
+            scrutinee = _term(p, spans)
+            p.expect("{")
+            b1, q1 = _binder(p)
+            p.expect(".")
+            branch1 = _term(p, spans)
+            p.expect("|")
+            b2, q2 = _binder(p)
+            p.expect(".")
+            branch2 = _term(p, spans)
+            p.expect("}")
+            pol = _pol(p)
+            if q1 is not scrutinee.pol or q2 is not scrutinee.pol:
+                raise ParseError(
+                    f"case binders must match the scrutinee's polarity ({scrutinee.pol})",
+                    tok.span,
+                )
+            return record(Case(scrutinee, b1, branch1, b2, branch2, pol))
+        return record(Var(word, _pol(p)))
+    p.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+
+
+# -------------------------------------------------------- formula traversals
+
+
+def former_dual_formula(f: Formula) -> Formula:
+    match f:
+        case Atom() | MetaVar():
+            return f
+        case Verum():
+            return Falsum()
+        case Falsum():
+            return Verum()
+        case And(a, b):
+            return Or(former_dual_formula(a), former_dual_formula(b))
+        case Or(a, b):
+            return And(former_dual_formula(a), former_dual_formula(b))
+        case Imp(a, b):
+            return CoImp(former_dual_formula(b), former_dual_formula(a))
+        case CoImp(a, b):
+            return Imp(former_dual_formula(b), former_dual_formula(a))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def former_apply(s: Substitution, f: Formula) -> Formula:
+    """Substitution.apply."""
+    f = s.walk(f)
+    match f:
+        case And(a, b):
+            return And(former_apply(s, a), former_apply(s, b))
+        case Or(a, b):
+            return Or(former_apply(s, a), former_apply(s, b))
+        case Imp(a, b):
+            return Imp(former_apply(s, a), former_apply(s, b))
+        case CoImp(a, b):
+            return CoImp(former_apply(s, a), former_apply(s, b))
+        case _:
+            return f
+
+
+def former_rename_metavars(f: Formula, names: dict[str, str]) -> Formula:
+    match f:
+        case MetaVar(n):
+            return MetaVar(names[n])
+        case And(a, b):
+            return And(former_rename_metavars(a, names), former_rename_metavars(b, names))
+        case Or(a, b):
+            return Or(former_rename_metavars(a, names), former_rename_metavars(b, names))
+        case Imp(a, b):
+            return Imp(former_rename_metavars(a, names), former_rename_metavars(b, names))
+        case CoImp(a, b):
+            return CoImp(former_rename_metavars(a, names), former_rename_metavars(b, names))
+        case _:
+            return f
+
+
+def former_metavar_order(formulas) -> list[str]:
+    order: dict[str, None] = {}
+
+    def walk(f: Formula) -> None:
+        match f:
+            case MetaVar(n):
+                order[n] = None
+            case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
+                walk(a)
+                walk(b)
+
+    for f in formulas:
+        walk(f)
+    return list(order)
+
+
+def _occurs(name: str, f: Formula, s: Substitution) -> bool:
+    f = s.walk(f)
+    match f:
+        case MetaVar(n):
+            return n == name
+        case And(a, b) | Or(a, b) | Imp(a, b) | CoImp(a, b):
+            return _occurs(name, a, s) or _occurs(name, b, s)
+        case _:
+            return False
+
+
+def former_unify(a: Formula, b: Formula, s: Substitution) -> None:
+    """typecheck._unify."""
+    a, b = s.walk(a), s.walk(b)
+    if a is b:
+        return
+    match a, b:
+        case MetaVar(x), MetaVar(y) if x == y:
+            return
+        case MetaVar(x), _:
+            if _occurs(x, b, s):
+                raise OccursCheck(f"?{x} occurs inside the formula it must equal")
+            s.mapping[x] = b
+        case _, MetaVar(_):
+            former_unify(b, a, s)
+        case Atom(n1), Atom(n2):
+            if n1 != n2:
+                raise Clash(f"atom {n1} is not {n2}")
+        case (Falsum(), Falsum()) | (Verum(), Verum()):
+            return
+        case (And(a1, b1), And(a2, b2)) | (Or(a1, b1), Or(a2, b2)) | (
+            Imp(a1, b1),
+            Imp(a2, b2),
+        ) | (CoImp(a1, b1), CoImp(a2, b2)):
+            former_unify(a1, a2, s)
+            former_unify(b1, b2, s)
+        case _:
+            raise Clash(f"{type(a).__name__} is not {type(b).__name__}")

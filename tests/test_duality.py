@@ -38,6 +38,7 @@ from l2int.textio import (
 )
 from l2int.typecheck import TypeScheme, check, infer_principal, schemes_equal
 from conftest import DATA, WORKED_SECOND_TERM, load_worked_pair
+from former import former_dual_formula, former_dual_term
 from test_acceptance import REDEX_HEAVY_WEIGHTS
 from test_typecheck import _seeded
 
@@ -199,13 +200,14 @@ def test_dual_derivation_rejects_unknown_rule():
 
 def _reference_dual_derivation(d: Derivation) -> Derivation:
     """dual_derivation as it was before its per-call memo: every node
-    dualizes its whole basis and its type afresh."""
+    dualizes its whole basis, its term and its type afresh, with the former
+    case-per-constructor dualizations."""
     j = d.concl
     basis = Basis(
-        tuple((n, dual_formula(f)) for n, f in j.basis.delta),
-        tuple((n, dual_formula(f)) for n, f in j.basis.gamma),
+        tuple((n, former_dual_formula(f)) for n, f in j.basis.delta),
+        tuple((n, former_dual_formula(f)) for n, f in j.basis.gamma),
     )
-    concl = Judgment(basis, j.pol.flip(), dual_term(j.term), dual_formula(j.type))
+    concl = Judgment(basis, j.pol.flip(), former_dual_term(j.term), former_dual_formula(j.type))
     prems = tuple(_reference_dual_derivation(p) for p in d.prems)
     if d.rule in ("CoImpI", "ImpI_d"):
         prems = prems[::-1]

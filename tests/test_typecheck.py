@@ -19,6 +19,7 @@ from l2int.syntax import (
     Verum,
     alpha_eq,
     check_polarities,
+    metavars_of,
     term_size,
 )
 from l2int.testkit import GenConfig, GenerationFailed, gen_derivation
@@ -34,7 +35,6 @@ from l2int.typecheck import (
     _build,
     _Ctx,
     _infer,
-    _metavar_order,
     _unify,
     check,
     infer_principal,
@@ -325,7 +325,7 @@ def _reference_check(basis, pol, t, a):
         ) from e
     pinned = 0
     for f in list(cx.node_type.values()) + list(cx.free.values()):
-        for n in _metavar_order([cx.subst.apply(f)]):
+        for n in metavars_of(cx.subst.apply(f)):
             cx.subst.mapping[n] = Verum()
             pinned += 1
     # Node types already resolved leave check's own resolution nothing to do.
