@@ -199,6 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for option in ("fuel", "count"):
+        if getattr(args, option, 0) < 0:
+            print(f"error: --{option} must be at least 0", file=sys.stderr)
+            return 2
     try:
         return args.run(args)
     except (ParseError, PolarityError) as e:

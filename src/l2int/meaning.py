@@ -6,18 +6,41 @@ the same judgment subjects: the sense of a derivation is the set of
 (term, polarity, principal type scheme) triples collected from every
 node, with terms taken up to a bijective renaming of all variables, so
 the particular letters chosen for hypotheses never matter.
+
+`sense` types every subterm of the end term in one bottom-up pass, in the
+manner of compositional principal typings (Jim, POPL 1996): each position
+instantiates its rule's row from `derivation.RULE_TABLE` with
+metavariables of its own, and its typing (its type and its free
+variables' formulas) comes from its children's by unification.  A
+subterm's typing is resolved before its parent adds a constraint, so it
+is the subterm's own principal typing; a node's scheme is that typing
+renamed as `typecheck.infer_principal` renames, with the free variables
+named as in the node's canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .derivation import Derivation
+from .derivation import Derivation, instantiate, rule_of
 from .duality import dual_term
 from .rewrite import DEFAULT_FUEL, FuelExhausted, NormalizeResult, normalize
-from .syntax import Polarity, Term, Var, alpha_eq, binders, children, with_children
-from .typecheck import TypeScheme, infer_principal
+from .syntax import (
+    Formula,
+    MetaVar,
+    Polarity,
+    Term,
+    Var,
+    alpha_eq,
+    binders,
+    check_polarities,
+    children,
+    with_children,
+)
+from .textio import print_term
+from .typecheck import Substitution, TypeScheme, Untypable, _unify, infer_principal, principal
 
 IDENTICAL = "identical"
 IDENTICAL_MODULO_DUALITY = "identical-modulo-duality"
@@ -51,17 +74,20 @@ def identical(
     return identity_verdict(t, u, modulo_duality, fuel) != DISTINCT
 
 
-def canonical_variable_form(t: Term) -> Term:
+def canonical_variable_form(t: Term, free: dict[tuple[str, Polarity], str] | None = None) -> Term:
     """Rename every variable to a position-determined name.
 
     Bound names come from the binding site, free names from first use, so
     two terms get the same canonical form exactly when one is the other
-    under a bijective polarity-preserving renaming of variables.
+    under a bijective polarity-preserving renaming of variables.  free,
+    where given, gets the name each free variable of t is renamed to.
     """
     fresh = map("v{}".format, itertools.count())
-    free: dict[tuple[str, Polarity], str] = {}
+    if free is None:
+        free = {}
+    bound: dict[tuple[str, Polarity], str] = {}  # the binders in scope, innermost first
 
-    def go(t: Term, bound: dict[tuple[str, Polarity], str]) -> Term:
+    def go(t: Term) -> Term:
         if isinstance(t, Var):
             name = bound.get((t.name, t.pol))
             if name is None:
@@ -69,15 +95,21 @@ def canonical_variable_form(t: Term) -> Term:
             return Var(name, t.pol)
         new, names = [], []
         for c, b in zip(children(t), binders(t)):
-            inner, x = bound, None
-            if b is not None:
-                x = next(fresh)
-                inner = {**bound, b: x}
-            new.append(go(c, inner))
+            if b is None:
+                new.append(go(c))
+                names.append(None)
+                continue
+            x = next(fresh)
+            outer, bound[b] = bound.get(b), x
+            new.append(go(c))
             names.append(x)
+            if outer is None:
+                del bound[b]
+            else:
+                bound[b] = outer
         return with_children(t, new, names)
 
-    return go(t, {})
+    return go(t)
 
 
 @dataclass(frozen=True)
@@ -85,6 +117,12 @@ class SenseEntry:
     term: Term  # in canonical variable form
     pol: Polarity
     scheme: TypeScheme
+
+    def __hash__(self) -> int:
+        # The term's text stands for the term, and the scheme follows from
+        # it.  Printing takes one frame per level of the term, where the
+        # hash of a term dataclass takes two.
+        return hash((print_term(self.term), self.pol))
 
 
 @dataclass(frozen=True)
@@ -95,20 +133,72 @@ class SenseDescriptor:
         return len(self.entries)
 
 
+Typing = tuple[Formula, dict[tuple[str, Polarity], Formula]]
+
+
+def _typing(t: Term, s: Substitution, fresh: Callable[[], MetaVar], out: dict[int, Typing]) -> Typing:
+    """t's principal typing, by the pass the module docstring describes,
+    under the substitution s and with metavariables from fresh; out gets
+    each subterm's typing under its id.  A binder's formula in its child's
+    typing is unified with the one its premise discharges.  Any failure is
+    raised as it comes."""
+    rule, env = rule_of(t), {}
+    free: dict[tuple[str, Polarity], Formula] = {}
+    if isinstance(t, Var):
+        free[t.name, t.pol] = instantiate(rule.concl, env, fresh)
+    for p, c, b in zip(rule.prems, children(t), binders(t)):
+        ty, kid = _typing(c, s, fresh, out)
+        _unify(ty, instantiate(p.type, env, fresh), s)
+        if b is not None and b in kid:
+            _unify(kid[b], instantiate(p.binds[1], env, fresh), s)
+        for v, f in kid.items():
+            if v != b and free.setdefault(v, f) is not f:
+                _unify(free[v], f, s)
+    typing = s.apply(instantiate(rule.concl, env, fresh)), {v: s.apply(f) for v, f in free.items()}
+    out[id(t)] = typing
+    return typing
+
+
+def _preorder(d: Derivation):
+    todo = [d]
+    while todo:
+        node = todo.pop()
+        todo.extend(reversed(node.prems))
+        yield node
+
+
 def sense(d: Derivation) -> SenseDescriptor:
-    """Every judgment subject of d with its principal type scheme."""
-    entries: set[SenseEntry] = set()
+    """Every judgment subject of d with its principal type scheme.
 
-    def visit(node: Derivation) -> None:
-        key = canonical_variable_form(node.concl.term)
-        if not any(e.term == key and e.pol is node.concl.pol for e in entries):
-            scheme = infer_principal(key).scheme
-            entries.add(SenseEntry(key, node.concl.pol, scheme))
-        for p in node.prems:
-            visit(p)
-
-    visit(d)
-    return SenseDescriptor(frozenset(entries))
+    The schemes come from one pass over the end term (and one over each
+    node's term that is not a subterm object of a term typed before) that
+    types all its subterms; each node's scheme is its subject's typing
+    with the free variables named as in its canonical form.  If a pass
+    fails, each node's subject is inferred on its own, in order, so that
+    the first one without a principal typing raises its error."""
+    typings: dict[int, Typing] = {}
+    entries: dict[tuple[str, Polarity], SenseEntry] = {}  # by canonical subject, as text
+    s = Substitution()
+    fresh = map(MetaVar, map("m{}".format, itertools.count())).__next__
+    try:
+        for node in _preorder(d):
+            t, pol = node.concl.term, node.concl.pol
+            if id(t) not in typings:
+                for v in check_polarities(t):
+                    raise Untypable(v.message, v.path)
+                _typing(t, s, fresh, typings)
+            names: dict[tuple[str, Polarity], str] = {}
+            key = canonical_variable_form(t, names)
+            text = print_term(key)
+            if (text, pol) not in entries:
+                ty, free = typings[id(t)]
+                renamed = {(names[v], v[1]): f for v, f in free.items()}
+                entries[text, pol] = SenseEntry(key, pol, principal(renamed, ty, pol).scheme)
+    except Exception:  # whatever failed, the former path decides the error
+        for node in _preorder(d):
+            infer_principal(canonical_variable_form(node.concl.term))
+        raise
+    return SenseDescriptor(frozenset(entries.values()))
 
 
 def synonymous(d1: Derivation, d2: Derivation) -> bool:

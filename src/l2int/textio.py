@@ -9,7 +9,10 @@ Derivations travel as JSON trees: {"rule", "concl", "prems"} with formulas
 and terms embedded as strings in this module's syntax.  A load parses each
 distinct string once and shares the result between the nodes that carry it,
 and a premise whose term string is its parent's subterm gets that subterm
-object without a parse; a dump prints each distinct formula once.
+object without a parse.  A dump writes the JSON text itself, byte for byte
+what `json.dumps` makes of the tree, and prints each formula object and
+each term object once: a premise's term is its parent's subterm, so its
+text is known by then.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .syntax import (
     PLUS,
@@ -261,11 +266,12 @@ def _formula_level(f: Formula) -> int:
             return _ATOMIC_LEVEL
 
 
-def print_formula(f: Formula) -> str:
-    def paren(sub: Formula, bare: bool) -> str:
-        s = print_formula(sub)
-        return s if bare else f"({s})"
+_INFIX = {And: "&", Or: "|", Imp: "->", CoImp: "-<"}
 
+
+def print_formula(f: Formula) -> str:
+    """f's text with the fewest parentheses.  It takes one frame per
+    level of f, so it prints as deep a formula as the parser reads."""
     match f:
         case Atom(name):
             return name
@@ -276,14 +282,21 @@ def print_formula(f: Formula) -> str:
         case MetaVar(name):
             return f"?{name}"
         case And(a, b):
-            return f"{paren(a, _formula_level(a) >= 2)} & {paren(b, _formula_level(b) >= 3)}"
+            bare = _formula_level(a) >= 2, _formula_level(b) >= 3
         case Or(a, b):
-            return f"{paren(a, _formula_level(a) >= 1)} | {paren(b, _formula_level(b) >= 2)}"
+            bare = _formula_level(a) >= 1, _formula_level(b) >= 2
         case Imp(a, b):
-            return f"{paren(a, _formula_level(a) >= 1)} -> {paren(b, isinstance(b, Imp) or _formula_level(b) >= 1)}"
+            bare = _formula_level(a) >= 1, isinstance(b, Imp) or _formula_level(b) >= 1
         case CoImp(a, b):
-            return f"{paren(a, isinstance(a, CoImp) or _formula_level(a) >= 1)} -< {paren(b, _formula_level(b) >= 1)}"
-    raise TypeError(f"not a formula: {f!r}")
+            bare = isinstance(a, CoImp) or _formula_level(a) >= 1, _formula_level(b) >= 1
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    left, right = print_formula(f.left), print_formula(f.right)
+    if not bare[0]:
+        left = f"({left})"
+    if not bare[1]:
+        right = f"({right})"
+    return f"{left} {_INFIX[type(f)]} {right}"
 
 
 # ------------------------------------------------------------------- terms
@@ -414,32 +427,49 @@ def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
     p.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
 
-def print_term(t: Term) -> str:
+def print_term(t: Term, memo: dict[int, str] | None = None) -> str:
+    """t's text.  memo, where given, maps the id of each term object
+    printed so far to its text, and gets the text of every subterm of t:
+    a caller printing terms that share subterm objects prints each object
+    once.  The objects must outlive memo."""
+    if memo is not None:
+        s = memo.get(id(t))
+        if s is not None:
+            return s
+    # Formatting the polarity enum would cost three calls.
+    sign = "+" if getattr(t, "pol", None) is PLUS else "-"
     word = _CTOR_KEYWORDS.get(type(t))
     if word is not None:
-        kids = list(map(print_term, children(t)))
-        return f"{word}{t.pol}({', '.join(kids)})"
-    match t:
-        case Var(name, pol):
-            return f"{name}{pol}"
-        case Top():
-            return "top+"
-        case Bot():
-            return "bot-"
-        case Pair(left, right, pol):
-            return f"<{print_term(left)}, {print_term(right)}>{pol}"
-        case Case(scrutinee, _, s1, _, s2, pol):
-            _, (b1, q), (b2, _) = binders(t)
-            return (
-                f"case {print_term(scrutinee)} "
-                f"{{{b1}{q}. {print_term(s1)} | {b2}{q}. {print_term(s2)}}}{pol}"
-            )
-        case Lam(_, body, pol):
-            ((x, q),) = binders(t)
-            return f"(\\{x}{q}. {print_term(body)}){pol}"
-        case MPair(pos, neg, pol):
-            return f"{{{print_term(pos)}, {print_term(neg)}}}{pol}"
-    raise TypeError(f"not a term: {t!r}")
+        kids = list(map(print_term, children(t), repeat(memo)))
+        s = f"{word}{sign}({', '.join(kids)})"
+    else:
+        match t:
+            case Var(name):
+                s = name + sign
+            case Top():
+                s = "top+"
+            case Bot():
+                s = "bot-"
+            case Pair(left, right):
+                s = f"<{print_term(left, memo)}, {print_term(right, memo)}>{sign}"
+            case Case(scrutinee, _, s1, _, s2):
+                _, (b1, q), (b2, _) = binders(t)
+                q = "+" if q is PLUS else "-"
+                s = (
+                    f"case {print_term(scrutinee, memo)} "
+                    f"{{{b1}{q}. {print_term(s1, memo)} | {b2}{q}. {print_term(s2, memo)}}}{sign}"
+                )
+            case Lam(_, body):
+                ((x, q),) = binders(t)
+                q = "+" if q is PLUS else "-"
+                s = f"(\\{x}{q}. {print_term(body, memo)}){sign}"
+            case MPair(pos, neg):
+                s = f"{{{print_term(pos, memo)}, {print_term(neg, memo)}}}{sign}"
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+    if memo is not None:
+        memo[id(t)] = s
+    return s
 
 
 # ------------------------------------------------------------- derivations
@@ -452,25 +482,68 @@ def print_basis(b: Basis) -> str:
     return f"({gamma}{sep}{delta})"
 
 
-def derivation_to_obj(d: Derivation) -> dict:
-    formula = _once(print_formula)
-
-    def node(d: Derivation) -> dict:
-        j = d.concl
-        concl = {
-            "gamma": [[n, formula(f)] for n, f in j.basis.gamma],
-            "delta": [[n, formula(f)] for n, f in j.basis.delta],
-            "pol": str(j.pol),
-            "term": print_term(j.term),
-            "type": formula(j.type),
-        }
-        return {"rule": d.rule, "concl": concl, "prems": [node(p) for p in d.prems]}
-
-    return node(d)
-
-
 def derivation_to_json(d: Derivation, indent: int | None = 2) -> str:
-    return json.dumps(derivation_to_obj(d), indent=indent)
+    """d as its {"rule", "concl", "prems"} JSON tree: byte for byte what
+    `json.dumps(..., indent=indent)` makes of that tree, written directly.
+    Each string is escaped by the encoder `json.dumps` uses, and each
+    formula object and each term object is printed once: a premise's term
+    is its parent's subterm, so its text is already known.  Both memos are
+    keyed by id, as hashing a deep formula takes two frames per level."""
+    quote = encode_basestring_ascii
+    formulas: dict[int, str] = {}
+    terms: dict[int, str] = {}
+
+    def formula(f: Formula) -> str:
+        s = formulas.get(id(f))
+        if s is None:
+            s = formulas[id(f)] = quote(print_formula(f))
+        return s
+
+    # Per depth of a container's items: what opens its first item, what
+    # separates two items and what goes before its closing bracket.
+    layout: list[tuple[str, str, str]] = []
+
+    def at(depth: int) -> tuple[str, str, str]:
+        while len(layout) <= depth:
+            if indent is None:
+                layout.append(("", ", ", ""))
+            else:
+                pad = "\n" + " " * (indent * len(layout))
+                layout.append((pad, "," + pad, pad[: len(pad) - indent]))
+        return layout[depth]
+
+    def basis(entries, depth: int) -> str:
+        if not entries:
+            return "[]"
+        (o, s, c), (po, ps, pc) = at(depth), at(depth + 1)
+        pairs = s.join(f"[{po}{quote(n)}{ps}{formula(f)}{pc}]" for n, f in entries)
+        return f"[{o}{pairs}{c}]"
+
+    out: list[str] = []
+
+    def node(d: Derivation, depth: int) -> None:
+        j = d.concl
+        (o, s, c), (co, cs, cc) = at(depth), at(depth + 1)
+        out.append(
+            f'{{{o}"rule": {quote(d.rule)}{s}"concl": {{{co}'
+            f'"gamma": {basis(j.basis.gamma, depth + 2)}{cs}'
+            f'"delta": {basis(j.basis.delta, depth + 2)}{cs}'
+            f'"pol": "{j.pol}"{cs}"term": {quote(print_term(j.term, terms))}{cs}'
+            f'"type": {formula(j.type)}{cc}}}{s}"prems": '
+        )
+        if d.prems:
+            out.append("[" + co)
+            for i, p in enumerate(d.prems):
+                if i:
+                    out.append(cs)
+                node(p, depth + 2)
+            out.append(cc + "]")
+        else:
+            out.append("[]")
+        out.append(c + "}")
+
+    node(d, 1)
+    return "".join(out)
 
 
 class DerivationFormatError(Exception):

@@ -94,9 +94,12 @@ class Substitution:
         return f
 
     def apply(self, f: Formula) -> Formula:
+        """f with every bound metavariable replaced; a part that has none
+        is kept as it is."""
         f = self.walk(f)
         if isinstance(f, Connective):
-            return type(f)(self.apply(f.left), self.apply(f.right))
+            a, b = self.apply(f.left), self.apply(f.right)
+            return f if a is f.left and b is f.right else type(f)(a, b)
         return f
 
 
@@ -279,8 +282,15 @@ def infer_principal(t: Term) -> Principal:
         raise Untypable(v.message, v.path)
     cx = _Ctx()
     body = cx.subst.apply(_infer(t, (), {}, cx))
-    gamma = sorted((n, cx.subst.apply(f)) for (n, p), f in cx.free.items() if p is PLUS)
-    delta = sorted((n, cx.subst.apply(f)) for (n, p), f in cx.free.items() if p is MINUS)
+    return principal({v: cx.subst.apply(f) for v, f in cx.free.items()}, body, t.pol)
+
+
+def principal(free: dict[tuple[str, Polarity], Formula], body: Formula, pol: Polarity) -> Principal:
+    """The judgment that assumes each free variable at its formula in free
+    and concludes body, its metavariables renamed A, B, ... in order of
+    first occurrence: in gamma by name, then in delta, then in body."""
+    gamma = sorted((n, f) for (n, p), f in free.items() if p is PLUS)
+    delta = sorted((n, f) for (n, p), f in free.items() if p is MINUS)
     order = metavars_of(*(f for _, f in gamma), *(f for _, f in delta), body)
     names = {n: _letter(i) for i, n in enumerate(order)}
     basis = Basis(
@@ -288,7 +298,7 @@ def infer_principal(t: Term) -> Principal:
         tuple((n, _rename_metavars(f, names)) for n, f in delta),
     )
     scheme = TypeScheme(tuple(names[n] for n in order), _rename_metavars(body, names))
-    return Principal(basis, t.pol, scheme)
+    return Principal(basis, pol, scheme)
 
 
 def schemes_equal(a: TypeScheme, b: TypeScheme) -> bool:

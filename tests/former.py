@@ -12,13 +12,21 @@ each a case per constructor, and the formula traversals that matched the
 four connectives one by one (`dual_formula`, `Substitution.apply`,
 `_rename_metavars`, `_metavar_order` and the unifier).  Everything in this
 module reaches subterms through these copies, so the references do not
-share the code they are compared with."""
+share the code they are compared with.
+
+The last section keeps the JSON dump and `sense` as they were before each
+visited every subterm once per derivation: the tree of strings that
+`json.dumps` wrote, printed node by node (with `print_formula` as it was,
+a helper call per parenthesized side), and a principal scheme inferred
+from scratch for each node's subject."""
 
 from __future__ import annotations
 
 import itertools
+import json
 
 from l2int.derivation import RULES, Derivation, RuleViolation
+from l2int.meaning import SenseDescriptor, SenseEntry
 from l2int.rewrite import KINDS, NormalizeResult, NotARedex, RedexPosition, TraceStep
 from l2int.syntax import (
     PLUS,
@@ -54,8 +62,8 @@ from l2int.syntax import (
     check_polarities,
     fresh_name,
 )
-from l2int.textio import ParseError, PolarityError, SourceSpan, _lex, _Parser, _pol, _too_deep
-from l2int.typecheck import Clash, OccursCheck, Substitution
+from l2int.textio import ParseError, PolarityError, SourceSpan, _formula_level, _lex, _Parser, _pol, _too_deep
+from l2int.typecheck import Clash, OccursCheck, Substitution, infer_principal
 
 
 def former_validate(d: Derivation) -> list[RuleViolation]:
@@ -994,3 +1002,70 @@ def former_unify(a: Formula, b: Formula, s: Substitution) -> None:
             former_unify(b1, b2, s)
         case _:
             raise Clash(f"{type(a).__name__} is not {type(b).__name__}")
+
+
+# ------------------------------------------------- JSON dump and sense
+
+
+def former_print_formula(f: Formula) -> str:
+    """textio.print_formula with its parenthesizing helper, two frames a
+    level."""
+
+    def paren(sub: Formula, bare: bool) -> str:
+        s = former_print_formula(sub)
+        return s if bare else f"({s})"
+
+    match f:
+        case Atom(name):
+            return name
+        case Falsum():
+            return "bot"
+        case Verum():
+            return "top"
+        case MetaVar(name):
+            return f"?{name}"
+        case And(a, b):
+            return f"{paren(a, _formula_level(a) >= 2)} & {paren(b, _formula_level(b) >= 3)}"
+        case Or(a, b):
+            return f"{paren(a, _formula_level(a) >= 1)} | {paren(b, _formula_level(b) >= 2)}"
+        case Imp(a, b):
+            return f"{paren(a, _formula_level(a) >= 1)} -> {paren(b, isinstance(b, Imp) or _formula_level(b) >= 1)}"
+        case CoImp(a, b):
+            return f"{paren(a, isinstance(a, CoImp) or _formula_level(a) >= 1)} -< {paren(b, _formula_level(b) >= 1)}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def former_derivation_to_obj(d: Derivation) -> dict:
+    """The tree `json.dumps` wrote before textio wrote the JSON itself:
+    every node's strings printed from scratch."""
+    j = d.concl
+    concl = {
+        "gamma": [[n, former_print_formula(f)] for n, f in j.basis.gamma],
+        "delta": [[n, former_print_formula(f)] for n, f in j.basis.delta],
+        "pol": str(j.pol),
+        "term": former_print_term(j.term),
+        "type": former_print_formula(j.type),
+    }
+    return {"rule": d.rule, "concl": concl, "prems": [former_derivation_to_obj(p) for p in d.prems]}
+
+
+def former_derivation_to_json(d: Derivation, indent: int | None = 2) -> str:
+    return json.dumps(former_derivation_to_obj(d), indent=indent)
+
+
+def former_sense(d: Derivation) -> SenseDescriptor:
+    """meaning.sense as it was before the one pass: every node's subject
+    put in canonical form and, when that form is new at its polarity,
+    given its own principal scheme by `infer_principal`."""
+    entries: set[SenseEntry] = set()
+
+    def visit(node: Derivation) -> None:
+        key = former_canonical_variable_form(node.concl.term)
+        if not any(e.term == key and e.pol is node.concl.pol for e in entries):
+            scheme = infer_principal(key).scheme
+            entries.add(SenseEntry(key, node.concl.pol, scheme))
+        for p in node.prems:
+            visit(p)
+
+    visit(d)
+    return SenseDescriptor(frozenset(entries))

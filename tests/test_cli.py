@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import hypothesis as hyp
+import pytest
 import hypothesis.strategies as st
 
 from l2int.cli import main
@@ -197,12 +198,23 @@ def test_normalize_too_deep_term(capsys):
 
 
 def test_too_deep_for_a_command_is_one_line(capsys):
-    # Parses, but the inferred type is too deep for print_formula.
+    # Parses, but its normal form nests twice as deep as the term.
+    half = "inl+(" * 600 + "x+" + ")" * 600
+    deep = f"app+((\\x+. {half})+, {half.replace('x+', 'y+')})"
+    for argv in (["normalize", "-e", deep], ["equal", "-e", deep, "-e", "y+"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: nested too deeply\n"
+
+
+def test_deep_chain_goes_through_every_term_command(capsys):
     deep = "inl+(" * 950 + "x+" + ")" * 950
     code, out, err = run(capsys, "infer", "-e", deep)
-    assert code == 2
-    assert out == ""
-    assert err == "error: nested too deeply\n"
+    assert code == 0
+    assert err == ""
+    letters = [f"?{chr(ord('A') + i % 26)}{i // 26 or ''}" for i in range(951)]
+    assert out == f"(x+: ?A;) =>+ : {' | '.join(letters)}\n"
     for command in ("dualize", "normalize"):
         code, out, _ = run(capsys, command, "-e", deep)
         assert code == 0
@@ -346,6 +358,24 @@ def test_gen_negative_height_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: max_height must be at least 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "-e", "top+", "--fuel", "-1"],
+        ["equal", "-e", "top+", "-e", "top+", "--fuel", "-1"],
+        ["gen", "--count", "-1"],
+    ],
+)
+def test_negative_fuel_or_count_is_a_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[-2]} must be at least 0\n"
+    argv[-1] = "0"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
 
 
 def test_gen_lines_are_single_json_objects(capsys):

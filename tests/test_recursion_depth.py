@@ -5,18 +5,37 @@ under a fixed recursion limit it follows a chain of `inl`s, `app`s, lambdas
 or case branches to within a few levels of the depth a plain recursion
 reaches (3 to 7 levels short, with Python 3.11).  A traversal that took two
 frames per level (a generator or a comprehension around the recursive
-call, say) would stop at about half of it.
+call, or a dataclass's own hash or equality, say) would stop at about half
+of it.  The JSON dump and `sense` run on the derivation `check` builds for
+a chain, and `print_formula` on formulas nested on one side.
 """
 
+import functools
 import sys
 
 import pytest
 
 from l2int.duality import dual_term
-from l2int.meaning import canonical_variable_form
+from l2int.meaning import canonical_variable_form, sense
 from l2int.rewrite import find_redexes
-from l2int.syntax import PLUS, App, Atom, Basis, Case, Imp, Inl, Lam, Or, Var, alpha_key, free_vars, substitute
-from l2int.textio import ParseError, parse_term, print_term
+from l2int.syntax import (
+    PLUS,
+    And,
+    App,
+    Atom,
+    Basis,
+    Case,
+    CoImp,
+    Imp,
+    Inl,
+    Lam,
+    Or,
+    Var,
+    alpha_key,
+    free_vars,
+    substitute,
+)
+from l2int.textio import ParseError, derivation_to_json, parse_term, print_formula, print_term
 from l2int.typecheck import check, infer_principal
 
 LIMIT = 600
@@ -79,65 +98,110 @@ def _formula(chain: str, n: int):
     return f
 
 
+@functools.cache
+def _derivation(chain: str, n: int):
+    return check(CHAINS[chain][2], PLUS, _term(chain, n), _formula(chain, n))
+
+
+# Per traversal: what builds its input from the chain and the depth, under
+# the usual recursion limit, and a call of the traversal, which like the
+# tests before it spends one frame of its own.
 TRAVERSALS = {
-    "free_vars": lambda chain, n: free_vars(_term(chain, n)),
-    "substitute": lambda chain, n: substitute(_term(chain, n), "y", PLUS, Var("w", PLUS)),
-    "alpha_key": lambda chain, n: alpha_key(_term(chain, n)),
-    "canonical_variable_form": lambda chain, n: canonical_variable_form(_term(chain, n)),
-    "find_redexes": lambda chain, n: find_redexes(_term(chain, n)),
-    "dual_term": lambda chain, n: dual_term(_term(chain, n)),
-    "print_term": lambda chain, n: print_term(_term(chain, n)),
-    "parse_term": lambda chain, n: parse_term(_source(chain, n)),
-    "infer_principal": lambda chain, n: infer_principal(_term(chain, n)),
-    "check": lambda chain, n: check(CHAINS[chain][2], PLUS, _term(chain, n), _formula(chain, n)),
+    "free_vars": (_term, lambda t: free_vars(t)),
+    "substitute": (_term, lambda t: substitute(t, "y", PLUS, Var("w", PLUS))),
+    "alpha_key": (_term, lambda t: alpha_key(t)),
+    "canonical_variable_form": (_term, lambda t: canonical_variable_form(t)),
+    "find_redexes": (_term, lambda t: find_redexes(t)),
+    "dual_term": (_term, lambda t: dual_term(t)),
+    "print_term": (_term, lambda t: print_term(t)),
+    "parse_term": (_source, lambda src: parse_term(src)),
+    "infer_principal": (_term, lambda t: infer_principal(t)),
+    "check": (lambda chain, n: (CHAINS[chain][2], PLUS, _term(chain, n), _formula(chain, n)), lambda args: check(*args)),
+    "derivation_to_json": (_derivation, lambda d: derivation_to_json(d)),
+    "sense": (_derivation, lambda d: sense(d)),
 }
 
 
-def _too_deep(run, chain: str, n: int) -> bool:
+def _too_deep(traversal, chain: str, n: int) -> bool:
+    make, run = traversal
+    arg = make(chain, n)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(LIMIT)
     try:
-        run(chain, n)
+        run(arg)
     except RecursionError:
         return True
     except ParseError as e:
         if e.message != "nested too deeply":
             raise
         return True
+    finally:
+        sys.setrecursionlimit(old)
     return False
 
 
-def _deepest(run, chain: str, guess: int) -> int:
-    """The largest n at most LIMIT for which run(chain, n) does not run out
-    of stack while the recursion limit is LIMIT.  The search starts at
-    guess, since each probe near the limit can cost a quadratic walk."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(LIMIT)
-    try:
-        lo, hi = (guess, LIMIT) if not _too_deep(run, chain, guess) else (0, guess - 1)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _too_deep(run, chain, mid):
-                hi = mid - 1
-            else:
-                lo = mid
-        return lo
-    finally:
-        sys.setrecursionlimit(old)
+def _deepest(traversal, chain: str, guess: int) -> int:
+    """The largest n at most LIMIT for which the traversal of chain's input
+    of depth n does not run out of stack while the recursion limit is
+    LIMIT.  The search starts at guess, since each probe near the limit can
+    cost a quadratic walk."""
+    lo, hi = (guess, LIMIT) if not _too_deep(traversal, chain, guess) else (0, guess - 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _too_deep(traversal, chain, mid):
+            hi = mid - 1
+        else:
+            lo = mid
+    return lo
 
 
-def _descend(chain: str, n: int) -> None:
+def _descend(n: int) -> None:
     """A plain recursion n levels deep."""
-    return _descend(chain, n - 1) if n else None
+    return _descend(n - 1) if n else None
+
+
+PLAIN = (lambda chain, n: n, _descend)
+
+
+def _follows_to_near_the_limit(traversal, chain: str) -> None:
+    """One probe decides: the search for the deepest input runs only to
+    report it when the traversal falls short."""
+    available = _deepest(PLAIN, chain, LIMIT // 2)
+    floor = available - SLACK
+    assert not _too_deep(traversal, chain, floor), (chain, _deepest(traversal, chain, floor), available)
 
 
 def test_chains_are_built_as_their_source_reads():
     for chain in CHAINS:
         assert parse_term(_source(chain, 3)) == _term(chain, 3)
-        assert check(CHAINS[chain][2], PLUS, _term(chain, 3), _formula(chain, 3)).concl.term == _term(chain, 3)
+        assert _derivation(chain, 3).concl.term == _term(chain, 3)
 
 
 @pytest.mark.parametrize("chain", list(CHAINS))
 @pytest.mark.parametrize("traversal", list(TRAVERSALS))
 def test_traversal_follows_a_chain_to_near_the_recursion_limit(traversal, chain):
-    available = _deepest(_descend, chain, LIMIT // 2)
-    depth = _deepest(TRAVERSALS[traversal], chain, available - SLACK)
-    assert depth >= available - SLACK, (traversal, chain, depth, available)
+    _follows_to_near_the_limit(TRAVERSALS[traversal], chain)
+
+
+# Formulas nested on one side, each connective on the side it prints bare
+# and on the side it puts in parentheses.
+FORMULA_CHAINS = {
+    "and left": lambda f: And(f, a),
+    "and right": lambda f: And(a, f),
+    "or left": lambda f: Or(f, a),
+    "imp right": lambda f: Imp(a, f),
+    "imp left": lambda f: Imp(f, a),
+    "coimp left": lambda f: CoImp(f, a),
+}
+
+
+def _formula_chain(chain: str, n: int):
+    f = a
+    for _ in range(n):
+        f = FORMULA_CHAINS[chain](f)
+    return f
+
+
+@pytest.mark.parametrize("chain", list(FORMULA_CHAINS))
+def test_print_formula_follows_a_formula_chain_to_near_the_recursion_limit(chain):
+    _follows_to_near_the_limit((_formula_chain, lambda f: print_formula(f)), chain)
