@@ -7,28 +7,22 @@ the same judgment subjects: the sense of a derivation is the set of
 node, with terms taken up to a bijective renaming of all variables, so
 the particular letters chosen for hypotheses never matter.
 
-`sense` types every subterm of the end term in one bottom-up pass, in the
-manner of compositional principal typings (Jim, POPL 1996): each position
-instantiates its rule's row from `derivation.RULE_TABLE` with
-metavariables of its own, and its typing (its type and its free
-variables' formulas) comes from its children's by unification.  A
-subterm's typing is resolved before its parent adds a constraint, so it
-is the subterm's own principal typing; a node's scheme is that typing
-renamed as `typecheck.infer_principal` renames, with the free variables
-named as in the node's canonical form.
+`sense` types every subterm of the end term in one bottom-up pass,
+`typecheck.principal_typing`, which gives each subterm its own principal
+typing (its type and its free variables' formulas); a node's scheme is
+that typing renamed as `typecheck.infer_principal` renames, with the free
+variables named as in the node's canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .derivation import Derivation, instantiate, rule_of
+from .derivation import Derivation
 from .duality import dual_term
 from .rewrite import DEFAULT_FUEL, FuelExhausted, NormalizeResult, normalize
 from .syntax import (
-    Formula,
     MetaVar,
     Polarity,
     Term,
@@ -40,7 +34,15 @@ from .syntax import (
     with_children,
 )
 from .textio import print_term
-from .typecheck import Substitution, TypeScheme, Untypable, _unify, infer_principal, principal
+from .typecheck import (
+    Substitution,
+    TypeScheme,
+    Typing,
+    Untypable,
+    infer_principal,
+    principal,
+    principal_typing,
+)
 
 IDENTICAL = "identical"
 IDENTICAL_MODULO_DUALITY = "identical-modulo-duality"
@@ -133,32 +135,6 @@ class SenseDescriptor:
         return len(self.entries)
 
 
-Typing = tuple[Formula, dict[tuple[str, Polarity], Formula]]
-
-
-def _typing(t: Term, s: Substitution, fresh: Callable[[], MetaVar], out: dict[int, Typing]) -> Typing:
-    """t's principal typing, by the pass the module docstring describes,
-    under the substitution s and with metavariables from fresh; out gets
-    each subterm's typing under its id.  A binder's formula in its child's
-    typing is unified with the one its premise discharges.  Any failure is
-    raised as it comes."""
-    rule, env = rule_of(t), {}
-    free: dict[tuple[str, Polarity], Formula] = {}
-    if isinstance(t, Var):
-        free[t.name, t.pol] = instantiate(rule.concl, env, fresh)
-    for p, c, b in zip(rule.prems, children(t), binders(t)):
-        ty, kid = _typing(c, s, fresh, out)
-        _unify(ty, instantiate(p.type, env, fresh), s)
-        if b is not None and b in kid:
-            _unify(kid[b], instantiate(p.binds[1], env, fresh), s)
-        for v, f in kid.items():
-            if v != b and free.setdefault(v, f) is not f:
-                _unify(free[v], f, s)
-    typing = s.apply(instantiate(rule.concl, env, fresh)), {v: s.apply(f) for v, f in free.items()}
-    out[id(t)] = typing
-    return typing
-
-
 def _preorder(d: Derivation):
     todo = [d]
     while todo:
@@ -186,7 +162,7 @@ def sense(d: Derivation) -> SenseDescriptor:
             if id(t) not in typings:
                 for v in check_polarities(t):
                     raise Untypable(v.message, v.path)
-                _typing(t, s, fresh, typings)
+                principal_typing(t, s, fresh, typings)
             names: dict[tuple[str, Polarity], str] = {}
             key = canonical_variable_form(t, names)
             text = print_term(key)

@@ -9,11 +9,15 @@ rule's row in `derivation.RULE_TABLE`.  Unification is over before the
 rebuild starts, so check() resolves each metavariable once (one the
 constraints left open becomes top) and each node's type once, sharing the
 resolved formulas between the nodes that carry them.
+
+principal_typing gives every subterm of a term its own principal typing
+in one bottom-up pass; `meaning.sense` reads each node's scheme from it.
 """
 
 from __future__ import annotations
 
 import string
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .derivation import Derivation, Judgment, _show, instantiate, match_pattern, rule_of
@@ -299,6 +303,39 @@ def principal(free: dict[tuple[str, Polarity], Formula], body: Formula, pol: Pol
     )
     scheme = TypeScheme(tuple(names[n] for n in order), _rename_metavars(body, names))
     return Principal(basis, pol, scheme)
+
+
+Typing = tuple[Formula, dict[tuple[str, Polarity], Formula]]
+
+
+def principal_typing(
+    t: Term, s: Substitution, fresh: Callable[[], MetaVar], out: dict[int, Typing]
+) -> Typing:
+    """t's principal typing (its type and its free variables' formulas), in
+    the manner of compositional principal typings (Jim, POPL 1996), under
+    the substitution s and with metavariables from fresh; out gets each
+    subterm's typing under its id.  Each position instantiates its rule's
+    row with metavariables of its own, unifies the row's premises with its
+    children's typings, a binder's formula in its child's typing with the
+    one its premise discharges, and merges its children's free variables by
+    unification.  A subterm's typing is resolved before its parent adds a
+    constraint, so it is the subterm's own principal typing.  Any failure
+    is raised as it comes."""
+    rule, env = rule_of(t), {}
+    free: dict[tuple[str, Polarity], Formula] = {}
+    if isinstance(t, Var):
+        free[t.name, t.pol] = instantiate(rule.concl, env, fresh)
+    for p, c, b in zip(rule.prems, children(t), binders(t)):
+        ty, kid = principal_typing(c, s, fresh, out)
+        _unify(ty, instantiate(p.type, env, fresh), s)
+        if b is not None and b in kid:
+            _unify(kid[b], instantiate(p.binds[1], env, fresh), s)
+        for v, f in kid.items():
+            if v != b and free.setdefault(v, f) is not f:
+                _unify(free[v], f, s)
+    typing = s.apply(instantiate(rule.concl, env, fresh)), {v: s.apply(f) for v, f in free.items()}
+    out[id(t)] = typing
+    return typing
 
 
 def schemes_equal(a: TypeScheme, b: TypeScheme) -> bool:

@@ -140,12 +140,12 @@ def _too_deep(traversal, chain: str, n: int) -> bool:
     return False
 
 
-def _deepest(traversal, chain: str, guess: int) -> int:
-    """The largest n at most LIMIT for which the traversal of chain's input
-    of depth n does not run out of stack while the recursion limit is
+def _deepest(traversal, chain: str, guess: int, most: int = LIMIT) -> int:
+    """The largest n at most `most` for which the traversal of chain's
+    input of depth n does not run out of stack while the recursion limit is
     LIMIT.  The search starts at guess, since each probe near the limit can
     cost a quadratic walk."""
-    lo, hi = (guess, LIMIT) if not _too_deep(traversal, chain, guess) else (0, guess - 1)
+    lo, hi = (guess, most) if not _too_deep(traversal, chain, guess) else (0, guess - 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if _too_deep(traversal, chain, mid):
@@ -164,11 +164,14 @@ PLAIN = (lambda chain, n: n, _descend)
 
 
 def _follows_to_near_the_limit(traversal, chain: str) -> None:
-    """One probe decides: the search for the deepest input runs only to
-    report it when the traversal falls short."""
+    """Both are searched through `_deepest`, so both start from the same
+    stack depth, and the traversal's lambda costs it one frame of SLACK.
+    The search stops at the floor: one probe decides unless the traversal
+    falls short."""
     available = _deepest(PLAIN, chain, LIMIT // 2)
     floor = available - SLACK
-    assert not _too_deep(traversal, chain, floor), (chain, _deepest(traversal, chain, floor), available)
+    depth = _deepest(traversal, chain, floor, floor)
+    assert depth >= floor, (chain, depth, available)
 
 
 def test_chains_are_built_as_their_source_reads():
