@@ -17,7 +17,7 @@ discharges.  Only the 14 primal rows are written out; the 14 dual rows
 (Hyp- and the `_d` rules) are computed from them, as the Dualization
 Theorem says they may be: polarities flip, patterns dualize, p1 and p2
 trade places and the mixed pair's premises swap.  `validate`,
-`typecheck.check` (as it rebuilds the tree), the generator and
+`typecheck.check` (as it pushes known formulas down), the generator and
 `dual_derivation` all read this table; `duality.dual_term` reads the
 constructor side of duality, `_DUAL_CTOR` and `dual_premises`, too.
 """

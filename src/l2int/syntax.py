@@ -19,10 +19,11 @@ base class, `Connective`.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 
 class Polarity(enum.Enum):
@@ -153,7 +154,10 @@ def metavars_of(*formulas: Formula) -> list[str]:
 
 
 def is_ground(f: Formula) -> bool:
-    return not metavars_of(f)
+    """Whether f holds no metavariable."""
+    if isinstance(f, Connective):
+        return is_ground(f.left) and is_ground(f.right)
+    return not isinstance(f, MetaVar)
 
 
 _DUAL_FORMULA = {Verum: Falsum, Falsum: Verum, And: Or, Or: And, Imp: CoImp, CoImp: Imp}
@@ -618,9 +622,12 @@ class Basis:
         return None
 
     def extend(self, name: str, pol: Polarity, formula: Formula) -> "Basis":
-        entries = dict(self.side(pol))
-        entries[name] = formula
-        new = tuple(sorted(entries.items()))
+        """This basis assuming name at formula on pol's side, in place of
+        any entry of that name there."""
+        side = self.side(pol)
+        i = bisect_left(side, name, key=itemgetter(0))
+        j = i + 1 if i < len(side) and side[i][0] == name else i
+        new = (*side[:i], (name, formula), *side[j:])
         return Basis(new, self.delta) if pol is PLUS else Basis(self.gamma, new)
 
     def merge(self, other: "Basis") -> "Basis":

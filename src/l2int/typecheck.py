@@ -2,13 +2,20 @@
 
 Every constructor-polarity combination matches exactly one rule, so
 inference is syntax directed: walk the term, allocate metavariables,
-collect first-order constraints, solve by unification.  check() runs the
-same inference with the free variables pinned to their basis entries and
-then rebuilds the full derivation tree, node by node, each node from its
-rule's row in `derivation.RULE_TABLE`.  Unification is over before the
-rebuild starts, so check() resolves each metavariable once (one the
-constraints left open becomes top) and each node's type once, sharing the
-resolved formulas between the nodes that carry them.
+collect first-order constraints, solve by unification.  That is
+`infer_principal`.
+
+check() is bidirectional (Pierce & Turner, "Local Type Inference", 2000;
+Dunfield & Krishnaswami, "Bidirectional Typing", 2021): one pass pushes
+the known formulas down each node's row in `derivation.RULE_TABLE`.  A
+variable reads its formula from the basis, an introduction checked
+against a known connective splits it, and an elimination synthesizes its
+head.  A metavariable is made only where neither way gives a formula (an
+abort, an injection or a lambda whose formula is not pushed down), and
+the pass builds each derivation node as it returns.  When it made none,
+the tree is final; otherwise one resolving walk pins the metavariables
+still open to top and rebuilds only the nodes that hold one.  A failure
+replays the inference above, so every error keeps its text and path.
 
 principal_typing gives every subterm of a term its own principal typing
 in one bottom-up pass; `meaning.sense` reads each node's scheme from it.
@@ -19,8 +26,9 @@ from __future__ import annotations
 import string
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NoReturn
 
-from .derivation import Derivation, Judgment, _show, instantiate, match_pattern, rule_of
+from .derivation import RULE_TABLE, Derivation, Judgment, _show, instantiate, rule_of
 from .syntax import (
     PLUS,
     MINUS,
@@ -55,6 +63,7 @@ from .syntax import (
     binders,
     check_polarities,
     children,
+    is_ground,
     metavars_of,
     rename_bound,
     with_children,
@@ -176,13 +185,8 @@ def _rename_metavars(f: Formula, names: dict[str, str]) -> Formula:
 class _Ctx:
     subst: Substitution = field(default_factory=Substitution)
     free: dict[tuple[str, Polarity], Formula] = field(default_factory=dict)
-    node_type: dict[tuple[int, ...], Formula] = field(default_factory=dict)
     counter: int = 0
     seeded: Basis | None = None
-    # check()'s resolved formulas: metavariables by name, compound formulas
-    # by id (node_type or subst holds each of them, so no id is reused).
-    solved_var: dict[str, Formula] = field(default_factory=dict)
-    solved_obj: dict[int, Formula] = field(default_factory=dict)
 
     def fresh(self) -> MetaVar:
         self.counter += 1
@@ -276,7 +280,6 @@ def _infer(t: Term, path: tuple[int, ...], env: dict, cx: _Ctx) -> Formula:
             ty = b
         case _:
             raise TypeError(f"not a term: {t!r}")
-    cx.node_type[path] = ty
     return ty
 
 
@@ -352,9 +355,230 @@ def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
 
     Free variables must be assumed in the basis at the polarity they are
     used.  Binders that would shadow a basis name at a different formula
-    are renamed, so the end term is alpha-equal to t (and usually t
-    itself).
+    are renamed, so the end term is alpha-equal to t, and t itself when no
+    binder is renamed.  One pass (`_Checker.go`) checks polarities, types
+    and scoping and builds each node as it returns; a metavariable the
+    constraints leave open becomes top.  On a failure the former inference
+    is replayed (`_replay`), and its error is raised.
     """
+    inputs_closed = all(map(is_ground, (a, *(f for _, f in basis.gamma + basis.delta))))
+    c = _Checker(inputs_closed)
+    try:
+        if pol is not t.pol:
+            raise _Fail
+        d = c.go(t, basis, a)
+    except (_Fail, UnifyError):
+        d = None
+    if d is None:
+        _replay(basis, pol, t, a)
+    if c.count == 0 and inputs_closed:
+        return d
+    return c.resolve(d, basis)
+
+
+class _Fail(Exception):
+    """check's pass found no typing; `_replay` says why."""
+
+
+# Constructors whose rule concludes a formula that its premises do not fix:
+# an abort's, an injection's other side, a lambda's binder.  Synthesizing
+# one makes a metavariable, so where its premise's pattern is a connective
+# it is checked against the pattern instead, and an application whose head
+# is one synthesizes its argument first.
+_GUESSES = frozenset(
+    r.ctor
+    for r in RULE_TABLE.values()
+    if r.prems and not set(metavars_of(r.concl)) <= set(metavars_of(*(p.type for p in r.prems)))
+)
+
+
+class _Checker:
+    """One run of check: the substitution, the metavariables made so far
+    (`count`), the nodes whose subtree made one (`made`, by id) and the
+    resolved formulas."""
+
+    def __init__(self, inputs_closed: bool):
+        self.subst = Substitution()
+        self.count = 0
+        self.made: set[int] = set()
+        # With a metavariable in the basis or the target, no subtree is
+        # known to be closed, so the resolving walk visits every node.
+        self.inputs_closed = inputs_closed
+        # resolved formulas: metavariables by name, compound formulas by id
+        # (the pass's derivations, `kept` and subst hold each of them, so no
+        # id is reused)
+        self.solved_var: dict[str, Formula] = {}
+        self.solved_obj: dict[int, Formula] = {}
+        self.kept: list[Derivation] = []
+        # the term each term the pass rebuilt (renaming a binder) stands for
+        self.source: dict[int, Term] = {}
+
+    def fresh(self) -> MetaVar:
+        self.count += 1
+        return MetaVar(f"m{self.count}")
+
+    def go(self, t: Term, basis: Basis, want: Formula | None) -> Derivation:
+        """The derivation of t under basis concluding want, or the formula
+        t synthesizes where want is None.  The node's row in RULE_TABLE
+        says what is known: want splits along the conclusion's pattern, a
+        premise whose pattern is known is checked against it, any other is
+        synthesized and its formula split along the pattern.  A
+        metavariable is made only for a pattern variable that neither
+        fixes.  Raises _Fail or UnifyError when t has no typing here."""
+        if type(t) is Var:
+            ty = basis.lookup(t.name, t.pol)
+            if ty is None:
+                raise _Fail
+            if want is not None and want is not ty:
+                _unify(ty, want, self.subst)
+            return Derivation(rule_of(t).name, Judgment(basis, t.pol, t, ty))
+        start = self.count
+        rule = rule_of(t)
+        env: dict[str, Formula] = {}
+        open_want = None
+        if want is not None and not self._split(rule.concl, want, env):
+            open_want = want
+        kids, scopes = children(t), binders(t)
+        prems = list(kids)
+        names, changed = None, False
+        order = (1, 0) if type(t) is App and type(kids[0]) in _GUESSES else range(len(kids))
+        for i in order:
+            p, kid, b = rule.prems[i], kids[i], scopes[i]
+            if kid.pol is not (t.pol if p.pol is None else p.pol):
+                raise _Fail
+            pat = p.type
+            if isinstance(pat, MetaVar):
+                known = env.get(pat.name)
+            elif isinstance(pat, Connective) and type(kid) not in _GUESSES:
+                known = None
+            else:
+                known = instantiate(pat, env, self.fresh)
+            inner = basis
+            if b is not None:
+                x, kid, inner = self._scope(basis, b, instantiate(p.binds[1], env, self.fresh), kid)
+                if x != b[0]:
+                    names = names or [s and s[0] for s in scopes]
+                    names[i], changed = x, True
+            d = self.go(kid, inner, known)
+            if known is None and not self._split(pat, d.concl.type, env):
+                _unify(d.concl.type, instantiate(pat, env, self.fresh), self.subst)
+            prems[i] = d
+            changed = changed or d.concl.term is not kids[i]
+        if want is None or open_want is not None:
+            ty = instantiate(rule.concl, env, self.fresh)
+            if open_want is not None:
+                _unify(open_want, ty, self.subst)
+        else:
+            ty = want
+        if changed:
+            new = with_children(t, [d.concl.term for d in prems], names)
+            self.source[id(new)] = t
+            t = new
+        d = Derivation(rule.name, Judgment(basis, t.pol, t, ty), tuple(prems))
+        if self.count != start:
+            self.made.add(id(d))
+        return d
+
+    def _split(self, pat: Formula, f: Formula, env: dict[str, Formula]) -> bool:
+        """Binds in env the variables of the pattern pat (a variable, a
+        constant or a connective of two variables) to f's parts, unifying
+        with any env holds already.  False, binding nothing, when f is an
+        open metavariable and pat is not a variable."""
+        if isinstance(pat, MetaVar):
+            parts = ((pat, f),)
+        else:
+            if type(f) is not type(pat):
+                f = self.subst.walk(f)
+                if type(f) is not type(pat):
+                    if isinstance(f, MetaVar):
+                        return False
+                    raise _Fail
+            if not isinstance(pat, Connective):
+                return True
+            parts = ((pat.left, f.left), (pat.right, f.right))
+        for v, part in parts:
+            held = env.setdefault(v.name, part)
+            if held is not part:
+                _unify(held, part, self.subst)
+        return True
+
+    def _scope(self, basis: Basis, b: tuple[str, Polarity], f: Formula, kid: Term) -> tuple[str, Term, Basis]:
+        """The name of the variable b bound over kid, kid, and the basis
+        kid is checked under, which assumes the name at f.  b is renamed
+        where it would shadow a basis entry at another formula; where
+        either formula holds a metavariable, `resolve` decides."""
+        x, q = b
+        held = basis.lookup(x, q)
+        if held is f:
+            return x, kid, basis
+        if held is not None and is_ground(held) and is_ground(f) and held != f:
+            x, kid = rename_bound(b, kid, basis.names())
+        return x, kid, basis.extend(x, q, f)
+
+    def resolve(self, d: Derivation, basis: Basis) -> Derivation:
+        """d with every formula `solved`, under basis, d's own basis
+        resolved.  A subtree that made no metavariable and whose basis and
+        formula hold none is returned as it is.  A binder whose formula
+        was open in the pass is renamed here if its resolved formula
+        differs from the one basis holds for its name, and its subtree is
+        checked again."""
+        j = d.concl
+        ty = self.solved(j.type)
+        if ty is j.type and basis is j.basis and self.inputs_closed and id(d) not in self.made:
+            return d
+        t = j.term
+        scopes = binders(t)
+        prems, names, changed = [], None, False
+        for i, (p, kid, b) in enumerate(zip(d.prems, children(t), scopes)):
+            inner = basis
+            if b is not None:
+                f = p.concl.basis.lookup(*b)
+                solved = self.solved(f)
+                held = basis.lookup(*b)
+                if held is not None and held is not solved and held != solved:
+                    x, kid = rename_bound(b, self.source.get(id(kid), kid), basis.names())
+                    inner = basis.extend(x, b[1], solved)
+                    p = self.go(kid, inner, self.solved(p.concl.type))
+                    self.kept.append(p)
+                    names = names or [s and s[0] for s in scopes]
+                    names[i], changed = x, True
+                elif basis is j.basis and solved is f:
+                    inner = p.concl.basis
+                else:
+                    inner = basis.extend(b[0], b[1], solved)
+            r = self.resolve(p, inner)
+            prems.append(r)
+            changed = changed or r.concl.term is not kid
+        if changed:
+            t = with_children(t, [r.concl.term for r in prems], names)
+        return Derivation(d.rule, Judgment(basis, j.pol, t, ty), tuple(prems))
+
+    def solved(self, f: Formula) -> Formula:
+        """f under the finished substitution, with any metavariable the
+        constraints left open pinned to top; memoised, so a part shared by
+        many formulas is resolved once and stays one object."""
+        if isinstance(f, MetaVar):
+            got = self.solved_var.get(f.name)
+            if got is None:
+                bound = self.subst.mapping.get(f.name)
+                got = self.solved_var[f.name] = Verum() if bound is None else self.solved(bound)
+            return got
+        if isinstance(f, Connective):
+            got = self.solved_obj.get(id(f))
+            if got is None:
+                a, b = self.solved(f.left), self.solved(f.right)
+                got = f if a is f.left and b is f.right else type(f)(a, b)
+                self.solved_obj[id(f)] = got
+            return got
+        return f
+
+
+def _replay(basis: Basis, pol: Polarity, t: Term, a: Formula) -> NoReturn:
+    """Raises the error the former inference raises for a judgment check's
+    pass rejected, so that each error keeps its class, text and path: the
+    first polarity violation, a polarity mismatch, an unbound variable or
+    a failed unification where inference meets it, or the end type's
+    mismatch."""
     for v in check_polarities(t):
         raise Untypable(v.message, v.path)
     if pol is not t.pol:
@@ -367,60 +591,4 @@ def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
         raise TypeMismatch(
             f"term has type {_show(cx.subst.apply(got))}, not {_show(a)}"
         ) from e
-    return _build(t, (), basis, cx)
-
-
-def _solved(cx: _Ctx, f: Formula) -> Formula:
-    """f under the finished substitution, with any metavariable the
-    constraints left open pinned to top; memoised in cx, so a part shared
-    by many node types is resolved once and stays one object."""
-    if isinstance(f, MetaVar):
-        got = cx.solved_var.get(f.name)
-        if got is None:
-            bound = cx.subst.mapping.get(f.name)
-            got = cx.solved_var[f.name] = Verum() if bound is None else _solved(cx, bound)
-        return got
-    if isinstance(f, Connective):
-        got = cx.solved_obj.get(id(f))
-        if got is None:
-            a, b = _solved(cx, f.left), _solved(cx, f.right)
-            got = f if a is f.left and b is f.right else type(f)(a, b)
-            cx.solved_obj[id(f)] = got
-        return got
-    return f
-
-
-def _build(t: Term, path: tuple[int, ...], basis: Basis, cx: _Ctx) -> Derivation:
-    """The derivation of t from its rule's row; t itself is its subject
-    unless a binder had to be renamed somewhere inside it: one that would
-    shadow a basis entry at another formula."""
-    ty = _solved(cx, cx.node_type[path])
-    rule = rule_of(t)
-    if not rule.prems:
-        return Derivation(rule.name, Judgment(basis, t.pol, t, ty))
-    env = None  # the rule's pattern variables, matched once a discharge needs them
-    prems, kids, names = [], [], []
-    same = True
-    for i, (p, kid, b) in enumerate(zip(rule.prems, children(t), binders(t))):
-        inner, x = basis, None
-        if b is not None:
-            if env is None:
-                env = {}
-                match_pattern(rule.concl, ty, env)
-                for q, d in zip(rule.prems, prems):
-                    match_pattern(q.type, d.concl.type, env)
-            bound = instantiate(p.binds[1], env)
-            x = b[0]
-            held = basis.lookup(*b)
-            if held is not None and held != bound:
-                x, kid = rename_bound(b, kid, basis.names())
-                same = False
-            inner = basis.extend(x, b[1], bound)
-        d = _build(kid, path + (i,), inner, cx)
-        prems.append(d)
-        kids.append(d.concl.term)
-        names.append(x)
-        same = same and d.concl.term is kid
-    if not same:
-        t = with_children(t, kids, names)
-    return Derivation(rule.name, Judgment(basis, t.pol, t, ty), tuple(prems))
+    raise RuntimeError("check rejected a judgment that inference accepts")

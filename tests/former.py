@@ -14,18 +14,24 @@ four connectives one by one (`dual_formula`, `Substitution.apply`,
 module reaches subterms through these copies, so the references do not
 share the code they are compared with.
 
-The last section keeps the JSON dump and `sense` as they were before each
+The next section keeps the JSON dump and `sense` as they were before each
 visited every subterm once per derivation: the tree of strings that
 `json.dumps` wrote, printed node by node (with `print_formula` as it was,
 a helper call per parenthesized side), and a principal scheme inferred
-from scratch for each node's subject."""
+from scratch for each node's subject.
+
+The last sections keep `typecheck.check` as it was before its one
+bidirectional pass, with the inference that stored each node's type under
+its path and the walk that rebuilt the tree from them, and `Basis.extend`
+as it was before it inserted by bisection."""
 
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass, field
 
-from l2int.derivation import RULES, Derivation, RuleViolation
+from l2int.derivation import RULES, Derivation, Judgment, RuleViolation, instantiate, match_pattern, rule_of
 from l2int.meaning import SenseDescriptor, SenseEntry
 from l2int.rewrite import KINDS, NormalizeResult, NotARedex, RedexPosition, TraceStep
 from l2int.syntax import (
@@ -35,9 +41,11 @@ from l2int.syntax import (
     And,
     App,
     Atom,
+    Basis,
     Bot,
     Case,
     CoImp,
+    Connective,
     Falsum,
     Formula,
     Fst,
@@ -61,9 +69,31 @@ from l2int.syntax import (
     binders,
     check_polarities,
     fresh_name,
+    metavars_of,
+    rename_bound,
 )
-from l2int.textio import ParseError, PolarityError, SourceSpan, _formula_level, _lex, _Parser, _pol, _too_deep
-from l2int.typecheck import Clash, OccursCheck, Substitution, infer_principal
+from l2int.textio import (
+    ParseError,
+    PolarityError,
+    SourceSpan,
+    _formula_level,
+    _lex,
+    _Parser,
+    _pol,
+    _too_deep,
+    print_formula,
+)
+from l2int.typecheck import (
+    Clash,
+    OccursCheck,
+    Substitution,
+    TypeMismatch,
+    UnboundVariable,
+    UnifyError,
+    Untypable,
+    _unify,
+    infer_principal,
+)
 
 
 def former_validate(d: Derivation) -> list[RuleViolation]:
@@ -1069,3 +1099,207 @@ def former_sense(d: Derivation) -> SenseDescriptor:
 
     visit(d)
     return SenseDescriptor(frozenset(entries))
+
+
+# ------------------------------------------------- check before the one pass
+
+
+@dataclass
+class _FormerCtx:
+    subst: Substitution = field(default_factory=Substitution)
+    free: dict[tuple[str, Polarity], Formula] = field(default_factory=dict)
+    node_type: dict[tuple[int, ...], Formula] = field(default_factory=dict)
+    counter: int = 0
+    seeded: Basis | None = None
+    # resolved formulas: metavariables by name, compound formulas by id
+    # (node_type or subst holds each of them, so no id is reused).
+    solved_var: dict[str, Formula] = field(default_factory=dict)
+    solved_obj: dict[int, Formula] = field(default_factory=dict)
+
+    def fresh(self) -> MetaVar:
+        self.counter += 1
+        return MetaVar(f"m{self.counter}")
+
+
+def former_check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
+    """typecheck.check as it was before the one bidirectional pass:
+    inference with a metavariable per node and each node's type stored
+    under its path, the end type unified with a, then the tree rebuilt
+    node by node from the stored types."""
+    for v in check_polarities(t):
+        raise Untypable(v.message, v.path)
+    if pol is not t.pol:
+        raise TypeMismatch(f"term is {t.pol} but the judgment wants {pol}")
+    cx = _FormerCtx(seeded=basis)
+    got = _former_infer(t, (), {}, cx)
+    try:
+        _unify(got, a, cx.subst)
+    except UnifyError as e:
+        raise TypeMismatch(
+            f"term has type {print_formula(cx.subst.apply(got))}, not {print_formula(a)}"
+        ) from e
+    return _former_build(t, (), basis, cx)
+
+
+def former_open_metavariables(basis: Basis, pol: Polarity, t: Term, a: Formula) -> int:
+    """How many metavariables former_check's constraints leave open, to be
+    pinned to top, for a judgment it accepts."""
+    cx = _FormerCtx(seeded=basis)
+    _unify(_former_infer(t, (), {}, cx), a, cx.subst)
+    return len({n for f in [*cx.node_type.values(), *cx.free.values()] for n in metavars_of(cx.subst.apply(f))})
+
+
+def _former_infer(t: Term, path: tuple[int, ...], env: dict, cx: _FormerCtx) -> Formula:
+    def uni(a: Formula, b: Formula) -> None:
+        try:
+            _unify(a, b, cx.subst)
+        except UnifyError as e:
+            raise Untypable(str(e), path) from e
+
+    match t:
+        case Var(n, p):
+            if (n, p) in env:
+                ty = env[(n, p)]
+            elif (n, p) in cx.free:
+                ty = cx.free[(n, p)]
+            elif cx.seeded is not None:
+                held = cx.seeded.lookup(n, p)
+                if held is None:
+                    raise UnboundVariable(f"{n}{p} is not assumed in the basis")
+                cx.free[(n, p)] = held
+                ty = held
+            else:
+                ty = cx.fresh()
+                cx.free[(n, p)] = ty
+        case Top():
+            ty = Verum()
+        case Bot():
+            ty = Falsum()
+        case Abort(body, _):
+            want = Falsum() if body.pol is PLUS else Verum()
+            uni(_former_infer(body, path + (0,), env, cx), want)
+            ty = cx.fresh()
+        case Pair(left, right, p):
+            a = _former_infer(left, path + (0,), env, cx)
+            b = _former_infer(right, path + (1,), env, cx)
+            ty = And(a, b) if p is PLUS else Or(a, b)
+        case Fst(body, p):
+            a, b = cx.fresh(), cx.fresh()
+            shape = And(a, b) if p is PLUS else Or(a, b)
+            uni(_former_infer(body, path + (0,), env, cx), shape)
+            ty = a
+        case Snd(body, p):
+            a, b = cx.fresh(), cx.fresh()
+            shape = And(a, b) if p is PLUS else Or(a, b)
+            uni(_former_infer(body, path + (0,), env, cx), shape)
+            ty = b
+        case Inl(body, p):
+            a = _former_infer(body, path + (0,), env, cx)
+            other = cx.fresh()
+            ty = Or(a, other) if p is PLUS else And(a, other)
+        case Inr(body, p):
+            b = _former_infer(body, path + (0,), env, cx)
+            other = cx.fresh()
+            ty = Or(other, b) if p is PLUS else And(other, b)
+        case Case(scrutinee, _, branch1, _, branch2, _):
+            _, x, y = binders(t)
+            a, b = cx.fresh(), cx.fresh()
+            shape = Or(a, b) if x[1] is PLUS else And(a, b)
+            uni(_former_infer(scrutinee, path + (0,), env, cx), shape)
+            t1 = _former_infer(branch1, path + (1,), {**env, x: a}, cx)
+            t2 = _former_infer(branch2, path + (2,), {**env, y: b}, cx)
+            uni(t1, t2)
+            ty = t1
+        case Lam(_, body, p):
+            a = cx.fresh()
+            b = _former_infer(body, path + (0,), {**env, binders(t)[0]: a}, cx)
+            ty = Imp(a, b) if p is PLUS else CoImp(b, a)
+        case App(fun, arg, p):
+            tf = _former_infer(fun, path + (0,), env, cx)
+            ta = _former_infer(arg, path + (1,), env, cx)
+            res = cx.fresh()
+            uni(tf, Imp(ta, res) if p is PLUS else CoImp(res, ta))
+            ty = res
+        case MPair(pos, neg, _):
+            a = _former_infer(pos, path + (0,), env, cx)
+            b = _former_infer(neg, path + (1,), env, cx)
+            ty = CoImp(a, b) if t.pol is PLUS else Imp(a, b)
+        case Pi1(body):
+            a, b = cx.fresh(), cx.fresh()
+            shape = CoImp(a, b) if body.pol is PLUS else Imp(a, b)
+            uni(_former_infer(body, path + (0,), env, cx), shape)
+            ty = a
+        case Pi2(body):
+            a, b = cx.fresh(), cx.fresh()
+            shape = CoImp(a, b) if body.pol is PLUS else Imp(a, b)
+            uni(_former_infer(body, path + (0,), env, cx), shape)
+            ty = b
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    cx.node_type[path] = ty
+    return ty
+
+
+def _former_solved(cx: _FormerCtx, f: Formula) -> Formula:
+    if isinstance(f, MetaVar):
+        got = cx.solved_var.get(f.name)
+        if got is None:
+            bound = cx.subst.mapping.get(f.name)
+            got = cx.solved_var[f.name] = Verum() if bound is None else _former_solved(cx, bound)
+        return got
+    if isinstance(f, Connective):
+        got = cx.solved_obj.get(id(f))
+        if got is None:
+            a, b = _former_solved(cx, f.left), _former_solved(cx, f.right)
+            got = f if a is f.left and b is f.right else type(f)(a, b)
+            cx.solved_obj[id(f)] = got
+        return got
+    return f
+
+
+def _former_build(t: Term, path: tuple[int, ...], basis: Basis, cx: _FormerCtx) -> Derivation:
+    """The derivation of t from its rule's row; t itself is its subject
+    unless a binder had to be renamed somewhere inside it: one that would
+    shadow a basis entry at another formula."""
+    ty = _former_solved(cx, cx.node_type[path])
+    rule = rule_of(t)
+    if not rule.prems:
+        return Derivation(rule.name, Judgment(basis, t.pol, t, ty))
+    env = None
+    prems, kids, names = [], [], []
+    same = True
+    for i, (p, kid, b) in enumerate(zip(rule.prems, former_children(t), binders(t))):
+        inner, x = basis, None
+        if b is not None:
+            if env is None:
+                env = {}
+                match_pattern(rule.concl, ty, env)
+                for q, d in zip(rule.prems, prems):
+                    match_pattern(q.type, d.concl.type, env)
+            bound = instantiate(p.binds[1], env)
+            x = b[0]
+            held = basis.lookup(*b)
+            if held is not None and held != bound:
+                x, kid = rename_bound(b, kid, basis.names())
+                same = False
+            inner = basis.extend(x, b[1], bound)
+        d = _former_build(kid, path + (i,), inner, cx)
+        prems.append(d)
+        kids.append(d.concl.term)
+        names.append(x)
+        same = same and d.concl.term is kid
+    if not same:
+        t = former_with_children(t, kids, names)
+    return Derivation(rule.name, Judgment(basis, t.pol, t, ty), tuple(prems))
+
+
+# ------------------------------------------------ Basis.extend before bisect
+
+
+def former_basis_extend(b: Basis, name: str, pol: Polarity, formula: Formula) -> Basis:
+    """Basis.extend as it was before it inserted by bisection: the side
+    made a dict, the entry set, and the side sorted again."""
+    entries = dict(b.side(pol))
+    entries[name] = formula
+    new = tuple(sorted(entries.items()))
+    return Basis(new, b.delta) if pol is PLUS else Basis(b.gamma, new)

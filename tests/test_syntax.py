@@ -60,6 +60,7 @@ from l2int.testkit import GenConfig, gen_derivation
 from l2int.textio import parse_term
 from former import (
     former_alpha_eq,
+    former_basis_extend,
     former_alpha_key,
     former_canonical_variable_form,
     former_free_vars,
@@ -223,6 +224,23 @@ def test_basis_lookup_and_extend():
 def test_basis_entries_sorted():
     b = Basis.make({"b": Atom("a"), "a": Atom("a")})
     assert [n for n, _ in b.gamma] == ["a", "b"]
+
+
+_BASIS_NAMES = st.sampled_from(["a", "b", "x", "x1", "x10", "x2", "y", "z"])
+_BASIS_SIDES = st.dictionaries(_BASIS_NAMES, st.builds(Atom, st.sampled_from(["a", "b", "c"])), max_size=6)
+
+
+@hyp.given(_BASIS_SIDES, _BASIS_SIDES, _BASIS_NAMES, st.sampled_from([PLUS, MINUS]), st.data())
+@hyp.settings(max_examples=300, deadline=None)
+def test_basis_extend_matches_former_code(gamma, delta, name, pol, data):
+    b = Basis.make(gamma, delta)
+    existing = [n for n, _ in b.side(pol)]
+    # A new name or, where the side has one, a name it holds already.
+    if existing and data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(existing))
+    f = Atom("new")
+    got, want = b.extend(name, pol, f), former_basis_extend(b, name, pol, f)
+    assert got.gamma == want.gamma and got.delta == want.delta
 
 
 @hyp.given(st.integers(0, 2000))

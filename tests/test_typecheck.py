@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+from collections import Counter
+
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
-from l2int.derivation import height, validate
+from l2int.derivation import RULE_TABLE, height, validate
 from l2int.rewrite import find_redexes, step
 from l2int.syntax import (
     PLUS,
@@ -10,37 +14,44 @@ from l2int.syntax import (
     And,
     Atom,
     Basis,
+    Bot,
     CoImp,
+    Falsum,
     Fst,
     Imp,
+    Inl,
     MetaVar,
     Or,
+    Pi1,
+    Pi2,
+    Top,
     Var,
     Verum,
     alpha_eq,
-    check_polarities,
+    build,
+    children,
     metavars_of,
+    replace_at,
+    subterm_at,
     term_size,
 )
 from l2int.testkit import GenConfig, GenerationFailed, gen_derivation
-from l2int.textio import parse_formula, parse_term, print_formula
+from l2int.textio import parse_formula, parse_term, print_formula, print_term
 from l2int.typecheck import (
     Clash,
     OccursCheck,
+    Substitution,
     TypeMismatch,
     TypeScheme,
     UnboundVariable,
     Untypable,
-    UnifyError,
-    _build,
-    _Ctx,
-    _infer,
-    _unify,
+    _Checker,
     check,
     infer_principal,
     schemes_equal,
     unify,
 )
+from former import former_check, former_open_metavariables
 from test_acceptance import REDEX_HEAVY_WEIGHTS
 from conftest import (
     WORKED_FIRST_TERM,
@@ -303,34 +314,18 @@ def test_principal_scheme_instantiates_to_checked_type(seed):
     assert s.apply(p.scheme.body) == d.concl.type
 
 
-# ------------------------------------------- check against its former resolution
+# ------------------------------------------------- check against its former code
 
 
-def _reference_check(basis, pol, t, a):
-    """check() resolving types the way it did before it memoised: pin every
-    open metavariable to top in the substitution, then apply the whole
-    substitution at each node.  Returns the derivation and how many
-    metavariables were pinned."""
-    for v in check_polarities(t):
-        raise Untypable(v.message, v.path)
-    if pol is not t.pol:
-        raise TypeMismatch(f"term is {t.pol} but the judgment wants {pol}")
-    cx = _Ctx(seeded=basis)
-    got = _infer(t, (), {}, cx)
-    try:
-        _unify(got, a, cx.subst)
-    except UnifyError as e:
-        raise TypeMismatch(
-            f"term has type {print_formula(cx.subst.apply(got))}, not {print_formula(a)}"
-        ) from e
-    pinned = 0
-    for f in list(cx.node_type.values()) + list(cx.free.values()):
-        for n in metavars_of(cx.subst.apply(f)):
-            cx.subst.mapping[n] = Verum()
-            pinned += 1
-    # Node types already resolved leave check's own resolution nothing to do.
-    ground = _Ctx(node_type={p: cx.subst.apply(f) for p, f in cx.node_type.items()})
-    return _build(t, (), basis, ground), pinned
+# check as it was before the one pass: inference, then the tree rebuilt
+# from the node types it stored.
+_reference_check = former_check
+
+
+def _pass_makes_metavariables(basis, pol, t, a):
+    c = _Checker(True)
+    c.go(t, basis, a)
+    return c.count > 0
 
 
 def _seeded(count, weights):
@@ -350,32 +345,222 @@ def _seeded(count, weights):
 
 @pytest.mark.parametrize("weights", [{}, REDEX_HEAVY_WEIGHTS], ids=["standard", "redex-heavy"])
 def test_check_matches_reference_resolution(weights):
-    judgments = 0
-    pinned = 0
+    judgments = pinned = made = 0
     for d in _seeded(200, weights):
         j = d.concl
         terms = [j.term] + [step(j.term, r) for r in find_redexes(j.term)]
         for t in terms:
-            want, n = _reference_check(j.basis, j.pol, t, j.type)
-            assert check(j.basis, j.pol, t, j.type) == want
+            got = check(j.basis, j.pol, t, j.type)
+            assert got == _reference_check(j.basis, j.pol, t, j.type)
+            # No binder is renamed here, so the term is t itself, which
+            # reduce's alpha_eq test of the two finds at once.
+            assert got.concl.term is t
             judgments += 1
-            pinned += n > 0
+            pinned += former_open_metavariables(j.basis, j.pol, t, j.type) > 0
+            made += _pass_makes_metavariables(j.basis, j.pol, t, j.type)
     assert judgments > 350
     assert pinned > 20
+    assert made > 100
+
+
+def _outcome(run, basis, pol, t, a):
+    """The derivation run builds, or the class, text and path of its error."""
+    try:
+        return run(basis, pol, t, a)
+    except (TypeMismatch, Untypable, UnboundVariable) as e:
+        return type(e), str(e), getattr(e, "path", None)
+
+
+def _atom_swapped(f):
+    """f with its first atom renamed, or None if it has no atom."""
+    if isinstance(f, Atom):
+        return Atom(f.name + "z")
+    if isinstance(f, (And, Or, Imp, CoImp)):
+        left = _atom_swapped(f.left)
+        if left is not None:
+            return type(f)(left, f.right)
+        right = _atom_swapped(f.right)
+        return None if right is None else type(f)(f.left, right)
+    return None
+
+
+def _flipped(t):
+    """t with its own polarity flipped: a constant or a projection of a
+    mixed pair becomes its dual."""
+    swap = {Top: Bot, Bot: Top, Pi1: Pi2, Pi2: Pi1}
+    if type(t) in swap:
+        return swap[type(t)](*children(t))
+    return dataclasses.replace(t, pol=t.pol.flip())
+
+
+def _mutants(j):
+    """Judgments near j that check rejects, mostly: a wrong target, an
+    atom swapped in the target or in a basis entry, a subterm's polarity
+    flipped (a polarity violation, or a mismatch at the root) and a free
+    variable renamed out of the basis."""
+    yield j.basis, j.pol, j.term, Atom("zz")
+    yield j.basis, j.pol, j.term, Imp(j.type, j.type)
+    yield j.basis, j.pol, j.term, Or(j.type, Verum())
+    swapped = _atom_swapped(j.type)
+    if swapped is not None:
+        yield j.basis, j.pol, j.term, swapped
+    for n, f in j.basis.gamma[:1]:
+        if _atom_swapped(f) is not None:
+            yield j.basis.extend(n, PLUS, _atom_swapped(f)), j.pol, j.term, j.type
+    paths = list(_paths(j.term))
+    for path in paths[:: max(1, len(paths) // 4)]:
+        yield j.basis, j.pol, replace_at(j.term, path, _flipped(subterm_at(j.term, path))), j.type
+    for path in paths:
+        v = subterm_at(j.term, path)
+        if isinstance(v, Var) and j.basis.lookup(v.name, v.pol) is not None:
+            yield j.basis, j.pol, replace_at(j.term, path, Var("unassumed", v.pol)), j.type
+            break
+
+
+def _paths(t, path=()):
+    yield path
+    for i, c in enumerate(children(t)):
+        yield from _paths(c, path + (i,))
 
 
 def test_check_mismatch_message_matches_reference():
-    raised = 0
-    for d in _seeded(40, {}):
+    raised = Counter()
+    for d in _seeded(40, {}) + _seeded(20, REDEX_HEAVY_WEIGHTS):
+        for args in _mutants(d.concl):
+            got = _outcome(check, *args)
+            assert got == _outcome(_reference_check, *args)
+            if isinstance(got, tuple):
+                raised[got[0]] += 1
+    assert raised[TypeMismatch] > 60
+    assert raised[Untypable] > 30
+    assert raised[UnboundVariable] > 20
+
+
+# Small terms whose every node has its children at the polarities its rule
+# asks for, over three names that the basis may assume and binders may
+# shadow, with aborts and free variables.
+_NAMES = st.sampled_from(["x", "y", "z"])
+_SMALL_FORMULAS = st.recursive(
+    st.sampled_from([Atom("a"), Atom("b"), Verum(), Falsum()]),
+    lambda sub: st.builds(lambda c, a, b: c(a, b), st.sampled_from([And, Or, Imp, CoImp]), sub, sub),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _polarized(draw, pol, depth=4):
+    rules = [r for r in RULE_TABLE.values() if r.prems and r.pol in (pol, None)]
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaf = draw(st.sampled_from(["var", "var", "constant"]))
+        return Var(draw(_NAMES), pol) if leaf == "var" else (Top() if pol is PLUS else Bot())
+    rule = draw(st.sampled_from(rules))
+    parts = []
+    for p in rule.prems:
+        if p.binds is not None:
+            parts.append(draw(_NAMES))
+        parts.append(draw(_polarized(pol if p.pol is None else p.pol, depth - 1)))
+    return build(rule.ctor, parts, pol)
+
+
+@st.composite
+def _judgments(draw):
+    """A basis, a polarity, a term and a target.  Half of the bases and
+    targets instantiate the term's principal typing, where it has one, with
+    entries added for other names, which binders may shadow; the others
+    are drawn, with half of their targets the type the reference finds."""
+    pol = draw(st.sampled_from([PLUS, MINUS]))
+    t = draw(_polarized(pol))
+    sides = [draw(st.dictionaries(_NAMES, _SMALL_FORMULAS, max_size=3)) for _ in range(2)]
+    try:
+        p = infer_principal(t)
+    except Untypable:
+        p = None
+    if p is not None and draw(st.booleans()):
+        held = [f for _, f in p.basis.gamma + p.basis.delta]
+        s = Substitution({m: draw(_SMALL_FORMULAS) for m in metavars_of(p.scheme.body, *held)})
+        for side, entries in zip(sides, (p.basis.gamma, p.basis.delta)):
+            side.update((n, s.apply(f)) for n, f in entries)
+        return Basis.make(*sides), pol, t, s.apply(p.scheme.body)
+    basis = Basis.make(*sides)
+    a = draw(_SMALL_FORMULAS)
+    if draw(st.booleans()):
+        found = _outcome(_reference_check, basis, pol, t, MetaVar("target"))
+        if not isinstance(found, tuple):
+            a = found.concl.type
+    return basis, pol, t, a
+
+
+@hyp.given(_judgments())
+@hyp.settings(max_examples=400, deadline=None)
+def test_check_of_small_terms_matches_reference(args):
+    assert _outcome(check, *args) == _outcome(_reference_check, *args)
+
+
+def test_check_with_metavariables_in_its_inputs_matches_reference():
+    # They take part in unification, and those left open become top.
+    compared = 0
+    for d in _seeded(40, {}) + _seeded(20, REDEX_HEAVY_WEIGHTS):
         j = d.concl
-        for wrong in (Atom("zz"), Imp(j.type, j.type), Or(j.type, Verum())):
-            try:
-                got = check(j.basis, j.pol, j.term, wrong)
-            except TypeMismatch as e:
-                with pytest.raises(TypeMismatch) as ref:
-                    _reference_check(j.basis, j.pol, j.term, wrong)
-                assert str(ref.value) == str(e)
-                raised += 1
-            else:
-                assert got == _reference_check(j.basis, j.pol, j.term, wrong)[0]
-    assert raised > 60
+        judgments = [(j.basis, j.pol, j.term, MetaVar("T"))]
+        for n, _ in j.basis.gamma[:1]:
+            judgments.append((j.basis.extend(n, PLUS, MetaVar("G")), j.pol, j.term, j.type))
+        for args in judgments:
+            assert _outcome(check, *args) == _outcome(_reference_check, *args)
+            compared += 1
+    assert compared > 80
+
+
+# -------------------------------------------------------------- shadowing
+
+
+def test_check_decides_a_rename_on_the_resolved_formula():
+    # The second binder's formula is open when the pass meets it, since the
+    # injection leaves its other side open; the branch then fixes it.
+    basis = Basis.make({"y": Atom("a"), "w": Falsum()})
+    t = parse_term("case inl+(top+) {x+. abort+(w+) | y+. y+}+")
+    kept = check(basis, PLUS, t, Atom("a"))
+    assert kept.concl.term is t
+    assert kept == _reference_check(basis, PLUS, t, Atom("a"))
+    renamed = check(basis, PLUS, t, Atom("b"))
+    assert renamed.concl.term == parse_term("case inl+(top+) {x+. abort+(w+) | y1+. y1+}+")
+    assert renamed == _reference_check(basis, PLUS, t, Atom("b"))
+    # Left open, the formula becomes top, which the basis does not hold.
+    t = parse_term("case inl+(top+) {x+. abort+(w+) | y+. abort+(w+)}+")
+    pinned = check(basis, PLUS, t, Atom("a"))
+    assert pinned.concl.term == parse_term("case inl+(top+) {x+. abort+(w+) | y1+. abort+(w+)}+")
+    assert pinned == _reference_check(basis, PLUS, t, Atom("a"))
+    # The pass renames the inner binder y-, which shadows y- at b.  Renaming
+    # y+ afterwards must start again from the branch as written, where y-
+    # then avoids y1 too, as the reference's rebuild did.
+    basis = Basis.make(
+        {"y": Atom("c"), "w": Falsum(), "f": parse_formula("(a -< (d -< e)) -> a")},
+        {"y": Atom("b"), "k": Atom("d")},
+    )
+    t = parse_term("case inl+(top+) {x+. abort+(w+) | y+. app+(f+, {y+, (\\y-. k-)-}+)}+")
+    inner = check(basis, PLUS, t, Atom("a"))
+    assert print_term(inner.concl.term) == "case inl+(top+) {x+. abort+(w+) | y1+. app+(f+, {y1+, (\\y2-. k-)-}+)}+"
+    assert inner == _reference_check(basis, PLUS, t, Atom("a"))
+    for d in (kept, renamed, pinned, inner):
+        assert validate(d) == []
+
+
+def test_check_memory_is_linear_in_depth():
+    # Keyed by path, the former node types took memory quadratic in depth
+    # (0.57, 1.74 and 6.06 MB at 200, 400 and 800 levels).
+    def peak(n):
+        t, f = Var("y", PLUS), Atom("a")
+        for _ in range(n):
+            t, f = Inl(t, PLUS), Or(f, Atom("a"))
+        basis = Basis.make({"y": Atom("a")})
+        tracemalloc.start()
+        try:
+            d = check(basis, PLUS, t, f)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.concl.term is t
+        return top
+
+    small, large = peak(400), peak(800)
+    assert large < 2.5 * small
+    assert large < 1_000_000
