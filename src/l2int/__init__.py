@@ -6,7 +6,7 @@ decision procedures for when two derivations denote or express the same
 thing.
 """
 
-from .derivation import Derivation, Judgment, RuleViolation, height, validate
+from .derivation import Derivation, Judgment, PolarityViolation, RuleViolation, check_polarities, height, validate
 from .duality import dual_basis, dual_derivation, dual_formula, dual_term
 from .meaning import (
     SenseDescriptor,
@@ -56,14 +56,12 @@ from .syntax import (
     Pi1,
     Pi2,
     Polarity,
-    PolarityViolation,
     Snd,
     Term,
     Top,
     Var,
     Verum,
     alpha_eq,
-    check_polarities,
     free_vars,
     substitute,
 )

@@ -1,4 +1,5 @@
-"""Derivation trees, the rule table of 2Int, and rule-by-rule validation.
+"""Derivation trees, the rule table of 2Int, the polarity check of terms
+and rule-by-rule validation.
 
 A judgment reads (gamma; delta) =>p t : A, with p the polarity of the
 subject term t.  Each node names one of the 26 rules (plus the two
@@ -17,9 +18,13 @@ discharges.  Only the 14 primal rows are written out; the 14 dual rows
 (Hyp- and the `_d` rules) are computed from them, as the Dualization
 Theorem says they may be: polarities flip, patterns dualize, p1 and p2
 trade places and the mixed pair's premises swap.  `validate`,
-`typecheck.check` (as it pushes known formulas down), the generator and
-`dual_derivation` all read this table; `duality.dual_term` reads the
-constructor side of duality, `_DUAL_CTOR` and `dual_premises`, too.
+`check_polarities` (each child's polarity), `typecheck.check` (as it
+pushes known formulas down), the typing walk of `typecheck` (behind
+`infer_principal`, `check`'s error replay and `meaning.sense`), the
+generator and `dual_derivation` all read this table; `duality.dual_term`
+reads the constructor side of duality, `_DUAL_CTOR` and `dual_premises`,
+too.  Only the nouns of `check_polarities`'s messages are written per
+constructor.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .syntax import (
     Var,
     Verum,
     binders,
-    check_polarities,
     children,
     dual_formula,
     metavars_of,
@@ -221,6 +225,67 @@ def instantiate(pattern: Formula, env: dict[str, Formula], fresh=None) -> Formul
         return pattern
     left = instantiate(pattern.left, env, fresh)
     return type(pattern)(left, instantiate(pattern.right, env, fresh))
+
+
+# -------------------------------------------------- polarity well-formedness
+
+
+@dataclass(frozen=True)
+class PolarityViolation:
+    path: tuple[int, ...]
+    message: str
+
+
+# Per constructor, its noun, then each child's (a case's scrutinee needs none).
+_NOUNS = {
+    Pair: ("pair", "pair component 1", "pair component 2"),
+    **dict.fromkeys((Fst, Snd), ("projection", "projection body")),
+    **dict.fromkeys((Inl, Inr), ("injection", "injection body")),
+    Case: ("case", None, "branch 1", "branch 2"),
+    Lam: ("lambda", "lambda body"),
+    App: ("application", "applied term", "argument"),
+    MPair: ("mixed pair", "mixed pair component 1", "mixed pair component 2"),
+}
+
+
+def _polarity_tests(ctor: type) -> tuple:
+    """Read off ctor's rows: per child whose polarity does not select the
+    row, its index, the polarity every row gives it (None where that is
+    the term's own), its noun and ctor's."""
+    rows = [r for r in _BY_CTOR[ctor] if r is not None]
+    pols = [{r.prems[i].pol for r in rows} for i in range(len(rows[0].prems))]
+    return tuple(
+        (i, p.pop() if len(p) == 1 else None, _NOUNS[ctor][i + 1], _NOUNS[ctor][0])
+        for i, p in enumerate(pols)
+        if i or ctor not in _BY_PREMISE
+    )
+
+
+_POLARITY_TESTS = {ctor: _polarity_tests(ctor) for ctor in _BY_CTOR}
+
+
+def check_polarities(t: Term) -> list[PolarityViolation]:
+    """All structural polarity violations in t; empty means well formed:
+    `rule_of` gives each node a row its children's polarities fit.  The
+    path to the node is one list, made a tuple only for a violation."""
+    out: list[PolarityViolation] = []
+    path: list[int] = []
+
+    def go(t: Term) -> None:
+        kids = children(t)
+        for i, fixed, noun, of in _POLARITY_TESTS[type(t)]:
+            pol = kids[i].pol
+            if pol is not (fixed or t.pol):
+                msg = f"{noun} must be {fixed}" if fixed else f"{noun} is {pol}, {of} is {t.pol}"
+                out.append(PolarityViolation(tuple(path), msg))
+        path.append(0)
+        for c in kids:
+            go(c)
+            path[-1] += 1
+        path.pop()
+
+    go(t)
+    return out
 
 
 # --------------------------------------------------------------- validation

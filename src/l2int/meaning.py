@@ -8,10 +8,10 @@ node, with terms taken up to a bijective renaming of all variables, so
 the particular letters chosen for hypotheses never matter.
 
 `sense` types every subterm of the end term in one bottom-up pass,
-`typecheck.principal_typing`, which gives each subterm its own principal
-typing (its type and its free variables' formulas); a node's scheme is
-that typing renamed as `typecheck.infer_principal` renames, with the free
-variables named as in the node's canonical form.
+`typecheck.infer_typing` given an `out` dict, which gives each subterm
+its own principal typing (its type and its free variables' formulas); a
+node's scheme is that typing renamed as `typecheck.infer_principal`
+renames, with the free variables named as in the node's canonical form.
 """
 
 from __future__ import annotations
@@ -19,30 +19,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .derivation import Derivation
+from .derivation import Derivation, check_polarities
 from .duality import dual_term
 from .rewrite import DEFAULT_FUEL, FuelExhausted, NormalizeResult, normalize
 from .syntax import (
-    MetaVar,
     Polarity,
     Term,
     Var,
     alpha_eq,
     binders,
-    check_polarities,
     children,
     with_children,
 )
 from .textio import print_term
-from .typecheck import (
-    Substitution,
-    TypeScheme,
-    Typing,
-    Untypable,
-    infer_principal,
-    principal,
-    principal_typing,
-)
+from .typecheck import TypeScheme, Typing, Untypable, infer_principal, infer_typing, principal
 
 IDENTICAL = "identical"
 IDENTICAL_MODULO_DUALITY = "identical-modulo-duality"
@@ -154,22 +144,20 @@ def sense(d: Derivation) -> SenseDescriptor:
     the first one without a principal typing raises its error."""
     typings: dict[int, Typing] = {}
     entries: dict[tuple[str, Polarity], SenseEntry] = {}  # by canonical subject, as text
-    s = Substitution()
-    fresh = map(MetaVar, map("m{}".format, itertools.count())).__next__
     try:
         for node in _preorder(d):
             t, pol = node.concl.term, node.concl.pol
             if id(t) not in typings:
                 for v in check_polarities(t):
                     raise Untypable(v.message, v.path)
-                principal_typing(t, s, fresh, typings)
+                infer_typing(t, typings)
             names: dict[tuple[str, Polarity], str] = {}
             key = canonical_variable_form(t, names)
             text = print_term(key)
             if (text, pol) not in entries:
                 ty, free = typings[id(t)]
                 renamed = {(names[v], v[1]): f for v, f in free.items()}
-                entries[text, pol] = SenseEntry(key, pol, principal(renamed, ty, pol).scheme)
+                entries[text, pol] = SenseEntry(key, pol, principal(ty, renamed, pol).scheme)
     except Exception:  # whatever failed, the former path decides the error
         for node in _preorder(d):
             infer_principal(canonical_variable_form(node.concl.term))

@@ -506,77 +506,6 @@ def alpha_key(t: Term):
     return go(t, {}, 0)
 
 
-# --------------------------------------------------- polarity well-formedness
-
-
-@dataclass(frozen=True)
-class PolarityViolation:
-    path: tuple[int, ...]
-    message: str
-
-
-def check_polarities(t: Term) -> list[PolarityViolation]:
-    """All structural polarity violations in t; empty means well formed.
-    The path to the node being checked is one list, made a tuple only for
-    a violation."""
-    out: list[PolarityViolation] = []
-    path: list[int] = []
-
-    def bad(msg):
-        out.append(PolarityViolation(tuple(path), msg))
-
-    def go(t: Term) -> None:
-        match t:
-            case Var() | Top() | Bot():
-                return
-            case Pair(left, right, pol):
-                if left.pol is not pol:
-                    bad(f"pair component 1 is {left.pol}, pair is {pol}")
-                if right.pol is not pol:
-                    bad(f"pair component 2 is {right.pol}, pair is {pol}")
-                kids = left, right
-            case Fst(body, pol) | Snd(body, pol):
-                if body.pol is not pol:
-                    bad(f"projection body is {body.pol}, projection is {pol}")
-                kids = (body,)
-            case Inl(body, pol) | Inr(body, pol):
-                if body.pol is not pol:
-                    bad(f"injection body is {body.pol}, injection is {pol}")
-                kids = (body,)
-            case Case(scrutinee, _, branch1, _, branch2, pol):
-                if branch1.pol is not pol:
-                    bad(f"branch 1 is {branch1.pol}, case is {pol}")
-                if branch2.pol is not pol:
-                    bad(f"branch 2 is {branch2.pol}, case is {pol}")
-                kids = scrutinee, branch1, branch2
-            case Lam(_, body, pol):
-                if body.pol is not pol:
-                    bad(f"lambda body is {body.pol}, lambda is {pol}")
-                kids = (body,)
-            case App(fun, arg, pol):
-                if fun.pol is not pol:
-                    bad(f"applied term is {fun.pol}, application is {pol}")
-                if arg.pol is not pol:
-                    bad(f"argument is {arg.pol}, application is {pol}")
-                kids = fun, arg
-            case MPair(pos, neg, _):
-                if pos.pol is not PLUS:
-                    bad("mixed pair component 1 must be +")
-                if neg.pol is not MINUS:
-                    bad("mixed pair component 2 must be -")
-                kids = pos, neg
-            case Abort(body) | Pi1(body) | Pi2(body):
-                kids = (body,)
-        path.append(0)
-        for c in kids:
-            go(c)
-            path[-1] += 1
-        path.pop()
-
-    go(t)
-    return out
-
-
 # ------------------------------------------------------------------ memos
 
 

@@ -57,11 +57,10 @@ from .syntax import (
     _once,
     binders,
     build,
-    check_polarities,
     children,
     subterm_at,
 )
-from .derivation import Derivation, Judgment
+from .derivation import Derivation, Judgment, check_polarities
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Curry-style type checking and principal type inference.
 
 Every constructor-polarity combination matches exactly one rule, so
-inference is syntax directed: walk the term, allocate metavariables,
-collect first-order constraints, solve by unification.  That is
-`infer_principal`.
+typing is syntax directed.  One walker, `_Walker`, instantiates each
+node's row in `derivation.RULE_TABLE` with fresh metavariables and unifies
+(first order, with occurs check).  Without an `out` dict it pushes a
+binder's formula down into its body and keeps one map of free variables:
+`infer_principal` renames the typing `infer_typing` gives, and `check`
+replays the walk, seeded with the basis, to explain a failure.  With one
+it types each subterm on its own, as compositional principal typings do
+(Jim, POPL 1996), and stores it under the subterm's id for `meaning.sense`.
 
 check() is bidirectional (Pierce & Turner, "Local Type Inference", 2000;
 Dunfield & Krishnaswami, "Bidirectional Typing", 2021): one pass pushes
@@ -15,53 +20,32 @@ abort, an injection or a lambda whose formula is not pushed down), and
 the pass builds each derivation node as it returns.  When it made none,
 the tree is final; otherwise one resolving walk pins the metavariables
 still open to top and rebuilds only the nodes that hold one.  A failure
-replays the inference above, so every error keeps its text and path.
-
-principal_typing gives every subterm of a term its own principal typing
-in one bottom-up pass; `meaning.sense` reads each node's scheme from it.
+replays the walker above, seeded with the basis, so every error keeps
+its text and path.
 """
 
 from __future__ import annotations
 
 import string
-from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import count
 from typing import NoReturn
 
-from .derivation import RULE_TABLE, Derivation, Judgment, _show, instantiate, rule_of
+from .derivation import RULE_TABLE, Derivation, Judgment, _show, check_polarities, instantiate, rule_of
 from .syntax import (
     PLUS,
     MINUS,
-    Abort,
-    And,
     App,
     Atom,
     Basis,
-    Bot,
-    Case,
-    CoImp,
     Connective,
-    Falsum,
     Formula,
-    Fst,
-    Imp,
-    Inl,
-    Inr,
-    Lam,
     MetaVar,
-    MPair,
-    Or,
-    Pair,
-    Pi1,
-    Pi2,
     Polarity,
-    Snd,
     Term,
-    Top,
     Var,
     Verum,
     binders,
-    check_polarities,
     children,
     is_ground,
     metavars_of,
@@ -181,120 +165,16 @@ def _rename_metavars(f: Formula, names: dict[str, str]) -> Formula:
     return f
 
 
-@dataclass
-class _Ctx:
-    subst: Substitution = field(default_factory=Substitution)
-    free: dict[tuple[str, Polarity], Formula] = field(default_factory=dict)
-    counter: int = 0
-    seeded: Basis | None = None
-
-    def fresh(self) -> MetaVar:
-        self.counter += 1
-        return MetaVar(f"m{self.counter}")
-
-
-def _infer(t: Term, path: tuple[int, ...], env: dict, cx: _Ctx) -> Formula:
-    def uni(a: Formula, b: Formula) -> None:
-        try:
-            _unify(a, b, cx.subst)
-        except UnifyError as e:
-            raise Untypable(str(e), path) from e
-
-    match t:
-        case Var(n, p):
-            if (n, p) in env:
-                ty = env[(n, p)]
-            elif (n, p) in cx.free:
-                ty = cx.free[(n, p)]
-            elif cx.seeded is not None:
-                held = cx.seeded.lookup(n, p)
-                if held is None:
-                    raise UnboundVariable(f"{n}{p} is not assumed in the basis")
-                cx.free[(n, p)] = held
-                ty = held
-            else:
-                ty = cx.fresh()
-                cx.free[(n, p)] = ty
-        case Top():
-            ty = Verum()
-        case Bot():
-            ty = Falsum()
-        case Abort(body, _):
-            want = Falsum() if body.pol is PLUS else Verum()
-            uni(_infer(body, path + (0,), env, cx), want)
-            ty = cx.fresh()
-        case Pair(left, right, p):
-            a = _infer(left, path + (0,), env, cx)
-            b = _infer(right, path + (1,), env, cx)
-            ty = And(a, b) if p is PLUS else Or(a, b)
-        case Fst(body, p):
-            a, b = cx.fresh(), cx.fresh()
-            shape = And(a, b) if p is PLUS else Or(a, b)
-            uni(_infer(body, path + (0,), env, cx), shape)
-            ty = a
-        case Snd(body, p):
-            a, b = cx.fresh(), cx.fresh()
-            shape = And(a, b) if p is PLUS else Or(a, b)
-            uni(_infer(body, path + (0,), env, cx), shape)
-            ty = b
-        case Inl(body, p):
-            a = _infer(body, path + (0,), env, cx)
-            other = cx.fresh()
-            ty = Or(a, other) if p is PLUS else And(a, other)
-        case Inr(body, p):
-            b = _infer(body, path + (0,), env, cx)
-            other = cx.fresh()
-            ty = Or(other, b) if p is PLUS else And(other, b)
-        case Case(scrutinee, _, branch1, _, branch2, _):
-            _, x, y = binders(t)
-            a, b = cx.fresh(), cx.fresh()
-            shape = Or(a, b) if x[1] is PLUS else And(a, b)
-            uni(_infer(scrutinee, path + (0,), env, cx), shape)
-            t1 = _infer(branch1, path + (1,), {**env, x: a}, cx)
-            t2 = _infer(branch2, path + (2,), {**env, y: b}, cx)
-            uni(t1, t2)
-            ty = t1
-        case Lam(_, body, p):
-            a = cx.fresh()
-            b = _infer(body, path + (0,), {**env, binders(t)[0]: a}, cx)
-            ty = Imp(a, b) if p is PLUS else CoImp(b, a)
-        case App(fun, arg, p):
-            tf = _infer(fun, path + (0,), env, cx)
-            ta = _infer(arg, path + (1,), env, cx)
-            res = cx.fresh()
-            uni(tf, Imp(ta, res) if p is PLUS else CoImp(res, ta))
-            ty = res
-        case MPair(pos, neg, _):
-            a = _infer(pos, path + (0,), env, cx)
-            b = _infer(neg, path + (1,), env, cx)
-            ty = CoImp(a, b) if t.pol is PLUS else Imp(a, b)
-        case Pi1(body):
-            a, b = cx.fresh(), cx.fresh()
-            shape = CoImp(a, b) if body.pol is PLUS else Imp(a, b)
-            uni(_infer(body, path + (0,), env, cx), shape)
-            ty = a
-        case Pi2(body):
-            a, b = cx.fresh(), cx.fresh()
-            shape = CoImp(a, b) if body.pol is PLUS else Imp(a, b)
-            uni(_infer(body, path + (0,), env, cx), shape)
-            ty = b
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    return ty
-
-
 def infer_principal(t: Term) -> Principal:
     """Most general basis and type making t a valid subject."""
     for v in check_polarities(t):
         raise Untypable(v.message, v.path)
-    cx = _Ctx()
-    body = cx.subst.apply(_infer(t, (), {}, cx))
-    return principal({v: cx.subst.apply(f) for v, f in cx.free.items()}, body, t.pol)
+    return principal(*infer_typing(t), t.pol)
 
 
-def principal(free: dict[tuple[str, Polarity], Formula], body: Formula, pol: Polarity) -> Principal:
-    """The judgment that assumes each free variable at its formula in free
-    and concludes body, its metavariables renamed A, B, ... in order of
+def principal(body: Formula, free: dict[tuple[str, Polarity], Formula], pol: Polarity) -> Principal:
+    """The judgment that concludes body and assumes each free variable at
+    its formula in free, its metavariables renamed A, B, ... in order of
     first occurrence: in gamma by name, then in delta, then in body."""
     gamma = sorted((n, f) for (n, p), f in free.items() if p is PLUS)
     delta = sorted((n, f) for (n, p), f in free.items() if p is MINUS)
@@ -310,35 +190,98 @@ def principal(free: dict[tuple[str, Polarity], Formula], body: Formula, pol: Pol
 
 Typing = tuple[Formula, dict[tuple[str, Polarity], Formula]]
 
+# Per rule, whether each premise's pattern is a connective holding a later
+# premise's whole pattern, a variable (only an application's head's does):
+# its child's formula is unified with it once that premise has bound it.
+_LATE = {
+    r.name: tuple(
+        not isinstance(p.type, MetaVar)
+        and any(isinstance(q.type, MetaVar) and q.type.name in metavars_of(p.type) for q in r.prems[i + 1 :])
+        for i, p in enumerate(r.prems)
+    )
+    for r in RULE_TABLE.values()
+}
 
-def principal_typing(
-    t: Term, s: Substitution, fresh: Callable[[], MetaVar], out: dict[int, Typing]
-) -> Typing:
-    """t's principal typing (its type and its free variables' formulas), in
-    the manner of compositional principal typings (Jim, POPL 1996), under
-    the substitution s and with metavariables from fresh; out gets each
-    subterm's typing under its id.  Each position instantiates its rule's
-    row with metavariables of its own, unifies the row's premises with its
-    children's typings, a binder's formula in its child's typing with the
-    one its premise discharges, and merges its children's free variables by
-    unification.  A subterm's typing is resolved before its parent adds a
-    constraint, so it is the subterm's own principal typing.  Any failure
-    is raised as it comes."""
-    rule, env = rule_of(t), {}
-    free: dict[tuple[str, Polarity], Formula] = {}
-    if isinstance(t, Var):
-        free[t.name, t.pol] = instantiate(rule.concl, env, fresh)
-    for p, c, b in zip(rule.prems, children(t), binders(t)):
-        ty, kid = principal_typing(c, s, fresh, out)
-        _unify(ty, instantiate(p.type, env, fresh), s)
-        if b is not None and b in kid:
-            _unify(kid[b], instantiate(p.binds[1], env, fresh), s)
-        for v, f in kid.items():
-            if v != b and free.setdefault(v, f) is not f:
-                _unify(free[v], f, s)
-    typing = s.apply(instantiate(rule.concl, env, fresh)), {v: s.apply(f) for v, f in free.items()}
-    out[id(t)] = typing
-    return typing
+
+def infer_typing(t: Term, out: dict[int, Typing] | None = None) -> Typing:
+    """t's typing: its formula and its free variables' formulas, resolved.
+    With out, each subterm is typed on its own and out gets its typing
+    under its id; see `_Walker`."""
+    w, free = _Walker(out), {}
+    ty = w.go(t, {}, free)
+    return w.resolved(ty, free) if out is None else out[id(t)]
+
+
+class _Walker:
+    """One typing walk.  Each node instantiates its row with fresh
+    metavariables ?m1, ?m2, ...: a binder's formula and a connective or
+    constant premise pattern before the child (after all children where
+    `_LATE` says so), the conclusion last; a variable pattern is bound to
+    its child's formula, or unified with the one it holds.  A free variable
+    gets a metavariable, or its formula in seeded (else UnboundVariable).
+    A failed unification raises Untypable with the node's path, one list
+    made a tuple only then.  With out, each child is typed on its own, its
+    free variables merged into its parent's, and out gets its typing."""
+
+    def __init__(self, out: dict[int, Typing] | None = None, seeded: Basis | None = None):
+        self.subst, self.out, self.seeded, self.path = Substitution(), out, seeded, []
+        self.fresh = map(MetaVar, map("m{}".format, count(1))).__next__
+
+    def unify(self, a: Formula, b: Formula) -> None:
+        try:
+            _unify(a, b, self.subst)
+        except UnifyError as e:
+            raise Untypable(str(e), tuple(self.path)) from e
+
+    def resolved(self, ty: Formula, free: dict) -> Typing:
+        return self.subst.apply(ty), {v: self.subst.apply(f) for v, f in free.items()}
+
+    def go(self, t: Term, scope: dict, free: dict) -> Formula:
+        """t's formula, with scope the formulas of the variables bound above
+        it and free the map of its free variables."""
+        if type(t) is Var:
+            v = t.name, t.pol
+            ty = scope.get(v) or free.get(v)
+            if ty is None:
+                ty = self.fresh() if self.seeded is None else self.seeded.lookup(*v)
+                if ty is None:
+                    raise UnboundVariable(f"{t.name}{t.pol} is not assumed in the basis")
+                free[v] = ty
+        else:
+            rule, env, late = rule_of(t), {}, ()
+            out, path, fresh = self.out, self.path, self.fresh
+            kids, scopes, deferred = children(t), binders(t), _LATE[rule.name]
+            for i, p in enumerate(rule.prems):
+                pat, b = p.type, scopes[i]
+                want = None if deferred[i] or isinstance(pat, MetaVar) else instantiate(pat, env, fresh)
+                f = b and instantiate(p.binds[1], env, fresh)
+                inner = {**scope, b: f} if b and out is None else scope
+                path.append(i)
+                got = self.go(kids[i], inner, free if out is None else {})
+                path.pop()
+                if out is not None:  # merge the child's resolved typing
+                    got, kid = out[id(kids[i])]
+                    if b in kid:
+                        self.unify(kid[b], f)
+                    for v, g in kid.items():
+                        if v != b:
+                            held = free.setdefault(v, g)
+                            if held is not g:
+                                self.unify(held, g)
+                if want is not None:
+                    self.unify(got, want)
+                elif deferred[i]:
+                    late = (*late, (got, pat))
+                else:
+                    held = env.setdefault(pat.name, got)
+                    if held is not got:
+                        self.unify(held, got)
+            for got, pat in late:
+                self.unify(got, instantiate(pat, env, fresh))
+            ty = instantiate(rule.concl, env, fresh)
+        if self.out is not None:
+            self.out[id(t)] = self.resolved(ty, free)
+        return ty
 
 
 def schemes_equal(a: TypeScheme, b: TypeScheme) -> bool:
@@ -358,8 +301,8 @@ def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
     are renamed, so the end term is alpha-equal to t, and t itself when no
     binder is renamed.  One pass (`_Checker.go`) checks polarities, types
     and scoping and builds each node as it returns; a metavariable the
-    constraints leave open becomes top.  On a failure the former inference
-    is replayed (`_replay`), and its error is raised.
+    constraints leave open becomes top.  On a failure `_replay` runs the
+    typing walk seeded with the basis and raises its error.
     """
     inputs_closed = all(map(is_ground, (a, *(f for _, f in basis.gamma + basis.delta))))
     c = _Checker(inputs_closed)
@@ -574,21 +517,19 @@ class _Checker:
 
 
 def _replay(basis: Basis, pol: Polarity, t: Term, a: Formula) -> NoReturn:
-    """Raises the error the former inference raises for a judgment check's
-    pass rejected, so that each error keeps its class, text and path: the
+    """Raises the error inference meets in a judgment check's pass
+    rejected, so that each error keeps its class, text and path: the
     first polarity violation, a polarity mismatch, an unbound variable or
-    a failed unification where inference meets it, or the end type's
-    mismatch."""
+    a failed unification where the typing walk meets it, or the end
+    type's mismatch."""
     for v in check_polarities(t):
         raise Untypable(v.message, v.path)
     if pol is not t.pol:
         raise TypeMismatch(f"term is {t.pol} but the judgment wants {pol}")
-    cx = _Ctx(seeded=basis)
-    got = _infer(t, (), {}, cx)
+    w = _Walker(seeded=basis)
+    got = w.go(t, {}, {})
     try:
-        _unify(got, a, cx.subst)
+        _unify(got, a, w.subst)
     except UnifyError as e:
-        raise TypeMismatch(
-            f"term has type {_show(cx.subst.apply(got))}, not {_show(a)}"
-        ) from e
+        raise TypeMismatch(f"term has type {_show(w.subst.apply(got))}, not {_show(a)}") from e
     raise RuntimeError("check rejected a judgment that inference accepts")

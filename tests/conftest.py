@@ -19,6 +19,14 @@ def load_worked_pair():
     return first, second
 
 
+def load_golden() -> list[Derivation]:
+    """tests/data/*.json and every line of its gen_*.jsonl files."""
+    texts = [p.read_text() for p in sorted(DATA.glob("*.json"))]
+    for p in sorted(DATA.glob("gen_*.jsonl")):
+        texts += p.read_text().splitlines()
+    return [derivation_from_json(text) for text in texts]
+
+
 def build_worked_first():
     return check(Basis(), PLUS, parse_term(WORKED_FIRST_TERM), parse_formula(WORKED_FIRST_TYPE))
 

@@ -22,8 +22,12 @@ from scratch for each node's subject.
 
 The last sections keep `typecheck.check` as it was before its one
 bidirectional pass, with the inference that stored each node's type under
-its path and the walk that rebuilt the tree from them, and `Basis.extend`
-as it was before it inserted by bisection."""
+its path and the walk that rebuilt the tree from them, `Basis.extend` as
+it was before it inserted by bisection, and `check_polarities` and
+`infer_principal` as they were before the rule table drove them: a case
+per constructor, and that inference behind the polarity check.  The
+former validator, parser, `sense` and `check` call these two, not the
+code they are compared with."""
 
 from __future__ import annotations
 
@@ -31,7 +35,16 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from l2int.derivation import RULES, Derivation, Judgment, RuleViolation, instantiate, match_pattern, rule_of
+from l2int.derivation import (
+    RULES,
+    Derivation,
+    Judgment,
+    PolarityViolation,
+    RuleViolation,
+    instantiate,
+    match_pattern,
+    rule_of,
+)
 from l2int.meaning import SenseDescriptor, SenseEntry
 from l2int.rewrite import KINDS, NormalizeResult, NotARedex, RedexPosition, TraceStep
 from l2int.syntax import (
@@ -67,7 +80,6 @@ from l2int.syntax import (
     Var,
     Verum,
     binders,
-    check_polarities,
     fresh_name,
     metavars_of,
     rename_bound,
@@ -86,20 +98,21 @@ from l2int.textio import (
 from l2int.typecheck import (
     Clash,
     OccursCheck,
+    Principal,
     Substitution,
     TypeMismatch,
     UnboundVariable,
     UnifyError,
     Untypable,
     _unify,
-    infer_principal,
+    principal,
 )
 
 
 def former_validate(d: Derivation) -> list[RuleViolation]:
     """All schema violations in d; empty means the derivation is valid."""
     out: list[RuleViolation] = []
-    for v in check_polarities(d.concl.term):
+    for v in former_check_polarities(d.concl.term):
         out.append(RuleViolation((), f"end term ill-polarized: {v.message}"))
     _validate(d, (), out)
     return out
@@ -807,7 +820,7 @@ def former_parse_term(src: str) -> Term:
         t = _term(p, spans)
         if p.peek().kind != "eof":
             p.fail(f"unexpected {p.peek().text!r} after term")
-        violations = check_polarities(t)
+        violations = former_check_polarities(t)
     except RecursionError as e:
         raise _too_deep(p) from e
     if violations:
@@ -1086,13 +1099,13 @@ def former_derivation_to_json(d: Derivation, indent: int | None = 2) -> str:
 def former_sense(d: Derivation) -> SenseDescriptor:
     """meaning.sense as it was before the one pass: every node's subject
     put in canonical form and, when that form is new at its polarity,
-    given its own principal scheme by `infer_principal`."""
+    given its own principal scheme by `former_infer_principal`."""
     entries: set[SenseEntry] = set()
 
     def visit(node: Derivation) -> None:
         key = former_canonical_variable_form(node.concl.term)
         if not any(e.term == key and e.pol is node.concl.pol for e in entries):
-            scheme = infer_principal(key).scheme
+            scheme = former_infer_principal(key).scheme
             entries.add(SenseEntry(key, node.concl.pol, scheme))
         for p in node.prems:
             visit(p)
@@ -1126,7 +1139,7 @@ def former_check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation
     inference with a metavariable per node and each node's type stored
     under its path, the end type unified with a, then the tree rebuilt
     node by node from the stored types."""
-    for v in check_polarities(t):
+    for v in former_check_polarities(t):
         raise Untypable(v.message, v.path)
     if pol is not t.pol:
         raise TypeMismatch(f"term is {t.pol} but the judgment wants {pol}")
@@ -1303,3 +1316,78 @@ def former_basis_extend(b: Basis, name: str, pol: Polarity, formula: Formula) ->
     entries[name] = formula
     new = tuple(sorted(entries.items()))
     return Basis(new, b.delta) if pol is PLUS else Basis(b.gamma, new)
+
+
+# ------------------------------ polarities and inference before the table
+
+
+def former_check_polarities(t: Term) -> list[PolarityViolation]:
+    """check_polarities as it was before the rule table stated each
+    child's polarity: a case per constructor."""
+    out: list[PolarityViolation] = []
+    path: list[int] = []
+
+    def bad(msg):
+        out.append(PolarityViolation(tuple(path), msg))
+
+    def go(t: Term) -> None:
+        match t:
+            case Var() | Top() | Bot():
+                return
+            case Pair(left, right, pol):
+                if left.pol is not pol:
+                    bad(f"pair component 1 is {left.pol}, pair is {pol}")
+                if right.pol is not pol:
+                    bad(f"pair component 2 is {right.pol}, pair is {pol}")
+                kids = left, right
+            case Fst(body, pol) | Snd(body, pol):
+                if body.pol is not pol:
+                    bad(f"projection body is {body.pol}, projection is {pol}")
+                kids = (body,)
+            case Inl(body, pol) | Inr(body, pol):
+                if body.pol is not pol:
+                    bad(f"injection body is {body.pol}, injection is {pol}")
+                kids = (body,)
+            case Case(scrutinee, _, branch1, _, branch2, pol):
+                if branch1.pol is not pol:
+                    bad(f"branch 1 is {branch1.pol}, case is {pol}")
+                if branch2.pol is not pol:
+                    bad(f"branch 2 is {branch2.pol}, case is {pol}")
+                kids = scrutinee, branch1, branch2
+            case Lam(_, body, pol):
+                if body.pol is not pol:
+                    bad(f"lambda body is {body.pol}, lambda is {pol}")
+                kids = (body,)
+            case App(fun, arg, pol):
+                if fun.pol is not pol:
+                    bad(f"applied term is {fun.pol}, application is {pol}")
+                if arg.pol is not pol:
+                    bad(f"argument is {arg.pol}, application is {pol}")
+                kids = fun, arg
+            case MPair(pos, neg, _):
+                if pos.pol is not PLUS:
+                    bad("mixed pair component 1 must be +")
+                if neg.pol is not MINUS:
+                    bad("mixed pair component 2 must be -")
+                kids = pos, neg
+            case Abort(body) | Pi1(body) | Pi2(body):
+                kids = (body,)
+        path.append(0)
+        for c in kids:
+            go(c)
+            path[-1] += 1
+        path.pop()
+
+    go(t)
+    return out
+
+
+def former_infer_principal(t: Term) -> Principal:
+    """typecheck.infer_principal as it was before the table-driven walker:
+    the first polarity violation raised, then `_former_infer`, a case per
+    constructor with a path tuple per node."""
+    for v in former_check_polarities(t):
+        raise Untypable(v.message, v.path)
+    cx = _FormerCtx()
+    body = former_apply(cx.subst, _former_infer(t, (), {}, cx))
+    return principal(body, {v: former_apply(cx.subst, f) for v, f in cx.free.items()}, t.pol)

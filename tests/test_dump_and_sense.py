@@ -49,26 +49,18 @@ from l2int.syntax import (
 )
 from l2int.textio import derivation_from_json, derivation_to_json, parse_formula, parse_term, print_formula
 from l2int.typecheck import check
-from conftest import DATA
+from conftest import load_golden
 from former import former_derivation_to_json, former_derivation_to_obj, former_print_formula, former_sense
 from test_acceptance import REDEX_HEAVY_WEIGHTS
 from test_syntax import FORMULAS, TERMS
 from test_typecheck import _seeded
 
 
-def _golden() -> list[Derivation]:
-    """tests/data/*.json and every line of its gen_*.jsonl files."""
-    texts = [p.read_text() for p in sorted(DATA.glob("*.json"))]
-    for p in sorted(DATA.glob("gen_*.jsonl")):
-        texts += p.read_text().splitlines()
-    return [derivation_from_json(text) for text in texts]
-
-
 @functools.cache
 def _corpus() -> tuple[Derivation, ...]:
     """The golden derivations, 200 standard and 200 redex-heavy ones, and
     the dual of each."""
-    ds = _golden() + _seeded(200, {}) + _seeded(200, REDEX_HEAVY_WEIGHTS)
+    ds = load_golden() + _seeded(200, {}) + _seeded(200, REDEX_HEAVY_WEIGHTS)
     return tuple(ds + [dual_derivation(d) for d in ds])
 
 

@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 import pytest
 
 import l2int
+from l2int.derivation import check_polarities
 from l2int.meaning import canonical_variable_form
 from l2int.syntax import (
     PLUS,
@@ -46,7 +47,6 @@ from l2int.syntax import (
     alpha_eq,
     alpha_key,
     binders,
-    check_polarities,
     children,
     free_vars,
     fresh_name,

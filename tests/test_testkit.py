@@ -5,9 +5,9 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
-from l2int.derivation import height, validate
+from l2int.derivation import check_polarities, height, validate
 from l2int.rewrite import is_normal, normalize
-from l2int.syntax import PLUS, MINUS, Atom, atoms_of, check_polarities, is_ground, term_size
+from l2int.syntax import PLUS, MINUS, Atom, atoms_of, is_ground, term_size
 from l2int.testkit import (
     DEFAULT_WEIGHTS,
     GenConfig,

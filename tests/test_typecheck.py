@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 from collections import Counter
 
@@ -6,12 +7,13 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
-from l2int.derivation import RULE_TABLE, height, validate
+from l2int.derivation import RULE_TABLE, check_polarities, height, validate
 from l2int.rewrite import find_redexes, step
 from l2int.syntax import (
     PLUS,
     MINUS,
     And,
+    App,
     Atom,
     Basis,
     Bot,
@@ -51,13 +53,14 @@ from l2int.typecheck import (
     schemes_equal,
     unify,
 )
-from former import former_check, former_open_metavariables
+from former import former_check, former_check_polarities, former_infer_principal, former_open_metavariables
 from test_acceptance import REDEX_HEAVY_WEIGHTS
 from conftest import (
     WORKED_FIRST_TERM,
     WORKED_FIRST_TYPE,
     build_worked_first,
     build_worked_second,
+    load_golden,
     load_worked_pair,
 )
 
@@ -564,3 +567,125 @@ def test_check_memory_is_linear_in_depth():
     small, large = peak(400), peak(800)
     assert large < 2.5 * small
     assert large < 1_000_000
+
+
+# ------------------------------------ inference against its former code
+
+# infer_principal and check_polarities as they were before the rule table
+# drove them, a case per constructor; former_check replays that inference.
+
+
+def _inferred(t):
+    """What infer_principal and its former code give t: the principal
+    judgment, or the class, text, path and cause of the error."""
+    out = []
+    for infer in (infer_principal, former_infer_principal):
+        try:
+            out.append(infer(t))
+        except Untypable as e:
+            out.append((type(e), str(e), e.path, type(e.__cause__)))
+    return out
+
+
+def _ill_typed(t, path):
+    """t with the subterm at path applied to itself (an occurs check, or a
+    clash where its formula is known), swapped for the constant of its
+    polarity, and with its polarity flipped."""
+    u = subterm_at(t, path)
+    yield replace_at(t, path, App(u, u, u.pol))
+    yield replace_at(t, path, Top() if u.pol is PLUS else Bot())
+    yield replace_at(t, path, _flipped(u))
+
+
+@functools.cache
+def _inference_corpus():
+    """The golden derivations and 200 standard and 200 redex-heavy ones."""
+    return load_golden() + _seeded(200, {}) + _seeded(200, REDEX_HEAVY_WEIGHTS)
+
+
+def test_inference_matches_former_code_on_the_corpus():
+    # Every subterm of each end term and each one-step reduct.
+    compared = 0
+    for d in _inference_corpus():
+        t = d.concl.term
+        for u in [subterm_at(t, path) for path in _paths(t)] + [step(t, r) for r in find_redexes(t)]:
+            new, old = _inferred(u)
+            assert new == old
+            assert check_polarities(u) == former_check_polarities(u) == []
+            compared += 1
+    assert compared > 4500
+
+
+def test_inference_and_replay_match_former_code_on_ill_typed_mutants():
+    # check's pass rejects each judgment, so its replay of inference raises;
+    # under the empty basis, an UnboundVariable where the term has a free
+    # variable.
+    raised = Counter()
+    for d in _inference_corpus():
+        j = d.concl
+        paths = list(_paths(j.term))
+        for path in paths[:: max(1, len(paths) // 3)]:
+            for t in _ill_typed(j.term, path):
+                new, old = _inferred(t)
+                assert new == old
+                assert check_polarities(t) == former_check_polarities(t)
+                if isinstance(new, tuple):
+                    raised[new[3].__name__] += 1
+                for basis in (j.basis, Basis()):
+                    got = _outcome(check, basis, j.pol, t, j.type)
+                    assert got == _outcome(_reference_check, basis, j.pol, t, j.type)
+                    if isinstance(got, tuple):
+                        raised[got[0].__name__] += 1
+    assert raised["Clash"] > 500
+    assert raised["OccursCheck"] > 600
+    assert raised["NoneType"] > 600  # a polarity violation
+    assert raised["UnboundVariable"] > 1300
+    assert raised["TypeMismatch"] > 1100
+
+
+@st.composite
+def _mutated(draw):
+    """A term of the small-term strategy, over all 15 constructors, left
+    as it is or mutated at a drawn subterm as `_ill_typed` mutates."""
+    t = draw(_polarized(draw(st.sampled_from([PLUS, MINUS]))))
+    paths = list(_paths(t))
+    mutants = [t, *_ill_typed(t, draw(st.sampled_from(paths)))]
+    return draw(st.sampled_from(mutants))
+
+
+@hyp.given(_mutated(), st.dictionaries(_NAMES, _SMALL_FORMULAS, max_size=3), _SMALL_FORMULAS)
+@hyp.settings(max_examples=300, deadline=None)
+def test_inference_and_replay_match_former_code_on_small_terms(t, gamma, a):
+    new, old = _inferred(t)
+    assert new == old
+    assert check_polarities(t) == former_check_polarities(t)
+    basis = Basis.make(gamma)
+    assert _outcome(check, basis, t.pol, t, a) == _outcome(_reference_check, basis, t.pol, t, a)
+
+
+def test_inference_memory_is_linear_in_depth():
+    # With a path tuple per node, infer_principal, and check's replay of it
+    # on a wrong target, took memory quadratic in depth (0.22, 0.75 and 2.79
+    # MB at 200, 400 and 800 levels).
+    basis = Basis.make({"y": Atom("a")})
+
+    def wrong_target(t):
+        with pytest.raises(TypeMismatch):
+            check(basis, PLUS, t, Atom("b"))
+
+    def peak(run, n):
+        t = Var("y", PLUS)
+        for _ in range(n):
+            t = Inl(t, PLUS)
+        tracemalloc.start()
+        try:
+            run(t)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top
+
+    for run in (infer_principal, wrong_target):
+        small, large = peak(run, 400), peak(run, 800)
+        assert large < 2.5 * small
+        assert large < 1_000_000
