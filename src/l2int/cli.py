@@ -44,6 +44,17 @@ def _load_derivation(path: str):
     return derivation_from_json(text)
 
 
+def _invalid(name: str, d, header) -> bool:
+    """Whether d breaks a rule; if so, "<name>: invalid" goes to header
+    and each violation, indented, to stderr."""
+    violations = validate(d)
+    if violations:
+        print(f"{name}: invalid", file=header)
+        for v in violations:
+            print(f"  {_fmt_path(v.path)}: {v.message}", file=sys.stderr)
+    return bool(violations)
+
+
 def cmd_check(args) -> int:
     worst = 0
     for name in args.files:
@@ -53,11 +64,7 @@ def cmd_check(args) -> int:
             print(f"{name}: error: {e}", file=sys.stderr)
             worst = 2
             continue
-        violations = validate(d)
-        if violations:
-            print(f"{name}: invalid")
-            for v in violations:
-                print(f"  {_fmt_path(v.path)}: {v.message}", file=sys.stderr)
+        if _invalid(name, d, sys.stdout):
             worst = max(worst, 1)
         else:
             print(f"{name}: ok")
@@ -101,11 +108,7 @@ def cmd_dualize(args) -> int:
         print(print_formula(dual_formula(parse_formula(args.formula))))
         return 0
     d = _load_derivation(args.file)
-    violations = validate(d)
-    if violations:
-        print(f"{args.file}: invalid", file=sys.stderr)
-        for v in violations:
-            print(f"  {_fmt_path(v.path)}: {v.message}", file=sys.stderr)
+    if _invalid(args.file, d, sys.stderr):
         return 1
     dd = dual_derivation(d)
     print(derivation_to_json(dd))
@@ -127,11 +130,7 @@ def cmd_sense(args) -> int:
     out = []
     for name in (args.file1, args.file2):
         d = _load_derivation(name)
-        violations = validate(d)
-        if violations:
-            print(f"{name}: invalid", file=sys.stderr)
-            for v in violations:
-                print(f"  {_fmt_path(v.path)}: {v.message}", file=sys.stderr)
+        if _invalid(name, d, sys.stderr):
             return 1
         out.append(d)
     verdict = synonymy_verdict(*out)

@@ -265,27 +265,30 @@ _POLARITY_TESTS = {ctor: _polarity_tests(ctor) for ctor in _BY_CTOR}
 
 
 def check_polarities(t: Term) -> list[PolarityViolation]:
-    """All structural polarity violations in t; empty means well formed:
-    `rule_of` gives each node a row its children's polarities fit.  The
-    path to the node is one list, made a tuple only for a violation."""
+    """All structural polarity violations in t, in preorder; empty means
+    well formed: `rule_of` gives each node a row its children's
+    polarities fit.  It keeps the children of each node above the one it
+    visits on a list, not in a frame per level, and the path to that node
+    as one list, made a tuple only for a violation."""
     out: list[PolarityViolation] = []
     path: list[int] = []
-
-    def go(t: Term) -> None:
+    pending: list[tuple[Term, ...]] = []  # the children of each node above t
+    while True:
         kids = children(t)
         for i, fixed, noun, of in _POLARITY_TESTS[type(t)]:
             pol = kids[i].pol
             if pol is not (fixed or t.pol):
                 msg = f"{noun} must be {fixed}" if fixed else f"{noun} is {pol}, {of} is {t.pol}"
                 out.append(PolarityViolation(tuple(path), msg))
+        pending.append(kids)
         path.append(0)
-        for c in kids:
-            go(c)
+        while path[-1] == len(pending[-1]):  # no child left here: up to the next sibling
+            pending.pop()
+            path.pop()
+            if not path:
+                return out
             path[-1] += 1
-        path.pop()
-
-    go(t)
-    return out
+        t = pending[-1][path[-1]]
 
 
 # --------------------------------------------------------------- validation

@@ -128,14 +128,6 @@ class MetaVar(Formula):
     name: str
 
 
-def atoms_of(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, Connective):
-        return atoms_of(f.left) | atoms_of(f.right)
-    return set()
-
-
 def metavars_of(*formulas: Formula) -> list[str]:
     """The metavariables of formulas, each once, in order of first
     occurrence."""

@@ -3,7 +3,10 @@
 Formula grammar, loosest to tightest: -> and -< bind loosest and may not be
 mixed without parentheses (-> associates right, -< left), then |, then &.
 Term syntax is fully parenthesized by constructor, so terms round-trip
-exactly; neither printer ever renames a variable.
+exactly; neither printer ever renames a variable.  Two tables state the
+syntax once: `_INFIX` each connective's symbol, level and grouping, and
+`_SYNTAX` each term constructor's template.  The parsers, the printers and
+the lexers' token sets are read off them.
 
 Derivations travel as JSON trees: {"rule", "concl", "prems"} with formulas
 and terms embedded as strings in this module's syntax.  A load parses each
@@ -18,6 +21,7 @@ text is known by then.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -95,13 +99,60 @@ class _Token:
     span: SourceSpan
 
 
+# ----------------------------------------------------------------- grammar
+
+# Each connective's symbol, its level (a higher level binds tighter) and
+# whether it groups to the right.  The two arrows share a level and may not
+# be mixed without parentheses.
+_INFIX = {Imp: ("->", 0, True), CoImp: ("-<", 0, False), Or: ("|", 1, False), And: ("&", 2, False)}
+_ATOMIC = 3  # the level of an atom, a constant or a formula in parentheses
+_LEVEL = {cls: level for cls, (_, level, _) in _INFIX.items()}
+_BY_SYMBOL = {sym: (cls, level, right) for cls, (sym, level, right) in _INFIX.items()}
+_NO_OP = None, None, None
+
 # The constructors written as a keyword, a polarity and their children in
 # parentheses, separated by commas.
 _KEYWORD_CTORS = {
     "abort": Abort, "fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr, "app": App, "p1": Pi1, "p2": Pi2,
 }
-_CTOR_KEYWORDS = {cls: word for word, cls in _KEYWORD_CTORS.items()}
-_TERM_KEYWORDS = {"top", "bot", "case", *_KEYWORD_CTORS}
+
+# Each term constructor's text, its fields in order: @ is a child, ^ a
+# binder's name and polarity, ± the term's polarity, and the rest is
+# literal.  A variable is its name and polarity.  The parser picks a
+# template by a term's first token and reads the rest of it; the printer
+# formats it.
+_SYNTAX = {
+    Top: "top+",
+    Bot: "bot-",
+    Pair: "<@, @>±",
+    MPair: "{@, @}±",
+    Case: "case @ {^. @ | ^. @}±",
+    Lam: "(\\^. @)±",
+    **{cls: f"{word}±({', '.join('@' * len(_UNBOUND[cls]))})" for word, cls in _KEYWORD_CTORS.items()},
+}
+_PIECES = {cls: re.findall(r"\w+|\S", s) for cls, s in _SYNTAX.items()}
+_LEADS = {pieces[0]: (cls, pieces[1:]) for cls, pieces in _PIECES.items()}
+_TERM_KEYWORDS = {lead for lead in _LEADS if lead.isidentifier()}
+# Per constructor: its `str.format` string, with the polarity as the
+# keyword argument s, and whether it binds.
+_FORMATS = {
+    cls: (s.replace("{", "{{").replace("}", "}}").replace("@", "{}").replace("^", "{}{}").replace("±", "{s}"),
+          "^" in s)
+    for cls, s in _SYNTAX.items()
+}
+# What the parser says of a binder not at the polarity `binders` gives it.
+_BINDER_ERRORS = {
+    Lam: "lambda binder is {given} but the lambda is {want}",
+    Case: "case binders must match the scrutinee's polarity ({want})",
+}
+# The lexers' two-character and one-character tokens.
+_FORMULA_TOKENS = (
+    tuple(s for s in _BY_SYMBOL if len(s) == 2),
+    "()" + "".join(s for s in _BY_SYMBOL if len(s) == 1),
+)
+_TERM_TOKENS = (), "".join(
+    sorted({c for ps in _PIECES.values() for c in ps if not c.isalnum()} - {"@", "^", "±"} | {"+", "-"})
+)
 
 
 def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
@@ -180,7 +231,7 @@ def _too_deep(p: _Parser) -> ParseError:
 
 
 def parse_formula(src: str) -> Formula:
-    p = _Parser(_lex(src, ("->", "-<"), "&|()"))
+    p = _Parser(_lex(src, *_FORMULA_TOKENS))
     try:
         f = _formula(p)
     except RecursionError as e:
@@ -190,112 +241,71 @@ def parse_formula(src: str) -> Formula:
     return f
 
 
-def _formula(p: _Parser) -> Formula:
-    left = _disjunct(p)
-    op = p.peek().kind
-    if op not in ("->", "-<"):
-        return left
-    if op == "->":
-        parts = [left]
-        while p.peek().kind == "->":
-            p.next()
-            if p.peek(0).kind == "eof":
-                p.fail("expected a formula after '->'")
-            parts.append(_disjunct(p))
-            if p.peek().kind == "-<":
-                p.fail("cannot mix '->' and '-<' without parentheses")
+def _formula(p: _Parser, level: int = 0) -> Formula:
+    """The formula at p of at least level: operands of the next level up
+    joined by this level's connective, or, at the atomic level, an atom, a
+    constant or a formula in parentheses.  Each level takes one frame.  The
+    next token is read off the token list: a `peek` call at each level
+    costs about a tenth of a parse."""
+    if level == _ATOMIC:
+        t = p.next()
+        if t.kind == "ident":
+            return Falsum() if t.text == "bot" else Verum() if t.text == "top" else Atom(t.text)
+        if t.kind == "(":
+            f = _formula(p)
+            p.expect(")")
+            return f
+        found = t.text or "end of input"
+        raise ParseError(f"expected a formula, found {found!r}", t.span, frozenset({"ident", "("}))
+    f = _formula(p, level + 1)
+    sym = p.toks[p.pos].kind
+    cls, at, rightward = _BY_SYMBOL.get(sym, _NO_OP)
+    if at != level:
+        return f
+    parts = [f]
+    while p.toks[p.pos].kind == sym:
+        p.pos += 1
+        if sym == "->" and p.toks[p.pos].kind == "eof":
+            p.fail("expected a formula after '->'")
+        parts.append(_formula(p, level + 1))
+        nxt = _BY_SYMBOL.get(p.toks[p.pos].kind, _NO_OP)
+        if nxt[1] == level and nxt[0] is not cls:
+            p.fail("cannot mix '->' and '-<' without parentheses")
+    if rightward:
         f = parts[-1]
         for part in reversed(parts[:-1]):
-            f = Imp(part, f)
+            f = cls(part, f)
         return f
-    f = left
-    while p.peek().kind == "-<":
-        p.next()
-        f = CoImp(f, _disjunct(p))
-        if p.peek().kind == "->":
-            p.fail("cannot mix '->' and '-<' without parentheses")
+    for part in parts[1:]:
+        f = cls(f, part)
     return f
-
-
-def _disjunct(p: _Parser) -> Formula:
-    f = _conjunct(p)
-    while p.peek().kind == "|":
-        p.next()
-        f = Or(f, _conjunct(p))
-    return f
-
-
-def _conjunct(p: _Parser) -> Formula:
-    f = _atomic(p)
-    while p.peek().kind == "&":
-        p.next()
-        f = And(f, _atomic(p))
-    return f
-
-
-def _atomic(p: _Parser) -> Formula:
-    t = p.peek()
-    if t.kind == "(":
-        p.next()
-        f = _formula(p)
-        p.expect(")")
-        return f
-    if t.kind == "ident":
-        p.next()
-        if t.text == "bot":
-            return Falsum()
-        if t.text == "top":
-            return Verum()
-        return Atom(t.text)
-    p.fail(f"expected a formula, found {t.text or 'end of input'!r}", frozenset({"ident", "("}))
-
-
-_ATOMIC_LEVEL = 3
-
-
-def _formula_level(f: Formula) -> int:
-    match f:
-        case Imp() | CoImp():
-            return 0
-        case Or():
-            return 1
-        case And():
-            return 2
-        case _:
-            return _ATOMIC_LEVEL
-
-
-_INFIX = {And: "&", Or: "|", Imp: "->", CoImp: "-<"}
 
 
 def print_formula(f: Formula) -> str:
-    """f's text with the fewest parentheses.  It takes one frame per
-    level of f, so it prints as deep a formula as the parser reads."""
-    match f:
-        case Atom(name):
-            return name
-        case Falsum():
-            return "bot"
-        case Verum():
-            return "top"
-        case MetaVar(name):
-            return f"?{name}"
-        case And(a, b):
-            bare = _formula_level(a) >= 2, _formula_level(b) >= 3
-        case Or(a, b):
-            bare = _formula_level(a) >= 1, _formula_level(b) >= 2
-        case Imp(a, b):
-            bare = _formula_level(a) >= 1, isinstance(b, Imp) or _formula_level(b) >= 1
-        case CoImp(a, b):
-            bare = isinstance(a, CoImp) or _formula_level(a) >= 1, _formula_level(b) >= 1
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    left, right = print_formula(f.left), print_formula(f.right)
-    if not bare[0]:
+    """f's text with the fewest parentheses: a side is bare where it binds
+    tighter than f, or where it is f's connective on the side that groups.
+    It takes one frame per level of f, so it prints as deep a formula as
+    the parser reads."""
+    op = _INFIX.get(type(f))
+    if op is None:
+        match f:
+            case Atom(name):
+                return name
+            case Falsum():
+                return "bot"
+            case Verum():
+                return "top"
+            case MetaVar(name):
+                return f"?{name}"
+        raise TypeError(f"not a formula: {f!r}")
+    sym, level, rightward = op
+    a, b = f.left, f.right
+    left, right = print_formula(a), print_formula(b)
+    if _LEVEL.get(type(a), _ATOMIC) <= level and (rightward or type(a) is not type(f)):
         left = f"({left})"
-    if not bare[1]:
+    if _LEVEL.get(type(b), _ATOMIC) <= level and not (rightward and type(b) is type(f)):
         right = f"({right})"
-    return f"{left} {_INFIX[type(f)]} {right}"
+    return f"{left} {sym} {right}"
 
 
 # ------------------------------------------------------------------- terms
@@ -309,7 +319,7 @@ def _parse_term(src: str, spans: dict[int, SourceSpan]) -> Term:
     """parse_term, recording in spans where each subterm of the result lies
     in src, keyed by the subterm's id; a subterm in grouping parentheses
     gets the span that includes them."""
-    p = _Parser(_lex(src, (), "()<>{},.|\\+-"))
+    p = _Parser(_lex(src, *_TERM_TOKENS))
     try:
         t = _term(p, spans)
         if p.peek().kind != "eof":
@@ -342,88 +352,47 @@ def _binder(p: _Parser) -> tuple[str, Polarity]:
 
 
 def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
-    start = p.peek().span
+    tok = p.peek()
+    start = tok.span
 
     def record(t: Term) -> Term:
         end = p.toks[p.pos - 1].span if p.pos else start
         spans[id(t)] = SourceSpan(start.start, end.end, start.line, start.column)
         return t
 
-    tok = p.peek()
-    if tok.kind == "(":
-        if p.peek(1).kind == "\\":
-            p.next()
-            p.next()
-            name, bpol = _binder(p)
-            p.expect(".")
-            body = _term(p, spans)
-            p.expect(")")
-            pol = _pol(p)
-            if bpol is not pol:
-                raise ParseError(
-                    f"lambda binder is {bpol} but the lambda is {pol}", tok.span
-                )
-            return record(Lam(name, body, pol))
+    if tok.kind == "(" and p.peek(1).kind != "\\":  # grouping
         p.next()
         t = _term(p, spans)
         p.expect(")")
         return record(t)
-    if tok.kind == "<":
+    lead = _LEADS.get(tok.text)
+    if lead is None:
+        if tok.kind != "ident":
+            p.fail(f"expected a term, found {tok.text or 'end of input'!r}")
         p.next()
-        left = _term(p, spans)
-        p.expect(",")
-        right = _term(p, spans)
-        p.expect(">")
-        return record(Pair(left, right, _pol(p)))
-    if tok.kind == "{":
-        p.next()
-        pos = _term(p, spans)
-        p.expect(",")
-        neg = _term(p, spans)
-        p.expect("}")
-        return record(MPair(pos, neg, _pol(p)))
-    if tok.kind == "ident":
-        p.next()
-        word = tok.text
-        if word == "top":
-            p.expect("+")
-            return record(Top())
-        if word == "bot":
-            p.expect("-")
-            return record(Bot())
-        cls = _KEYWORD_CTORS.get(word)
-        if cls is not None:
+        return record(Var(tok.text, _pol(p)))
+    p.next()
+    cls, pieces = lead
+    fixed = getattr(cls, "pol", None)
+    pol, parts, given = fixed, [], []
+    for piece in pieces:
+        if piece == "@":
+            parts.append(_term(p, spans))
+        elif piece == "^":
+            name, q = _binder(p)
+            parts.append(name)
+            given.append(q)
+        elif piece == "±":
             pol = _pol(p)
-            p.expect("(")
-            kids = [_term(p, spans)]
-            for _ in _UNBOUND[cls][1:]:  # each further child
-                p.expect(",")
-                kids.append(_term(p, spans))
-            p.expect(")")
-            fixed = getattr(cls, "pol", pol)  # p1 and p2 fix their polarity
-            if pol is not fixed:
-                raise ParseError(f"{word} is always {fixed}", tok.span)
-            return record(build(cls, kids, pol))
-        if word == "case":
-            scrutinee = _term(p, spans)
-            p.expect("{")
-            b1, q1 = _binder(p)
-            p.expect(".")
-            branch1 = _term(p, spans)
-            p.expect("|")
-            b2, q2 = _binder(p)
-            p.expect(".")
-            branch2 = _term(p, spans)
-            p.expect("}")
-            pol = _pol(p)
-            if q1 is not scrutinee.pol or q2 is not scrutinee.pol:
-                raise ParseError(
-                    f"case binders must match the scrutinee's polarity ({scrutinee.pol})",
-                    tok.span,
-                )
-            return record(Case(scrutinee, b1, branch1, b2, branch2, pol))
-        return record(Var(word, _pol(p)))
-    p.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+        else:
+            p.expect(piece)
+    if fixed is not None and pol is not fixed:  # p1 and p2 fix their polarity
+        raise ParseError(f"{tok.text} is always {fixed}", tok.span)
+    t = build(cls, parts, pol)
+    for q, (_, want) in zip(given, filter(None, binders(t))):
+        if q is not want:
+            raise ParseError(_BINDER_ERRORS[cls].format(given=q, want=want), tok.span)
+    return record(t)
 
 
 def print_term(t: Term, memo: dict[int, str] | None = None) -> str:
@@ -437,35 +406,22 @@ def print_term(t: Term, memo: dict[int, str] | None = None) -> str:
             return s
     # Formatting the polarity enum would cost three calls.
     sign = "+" if getattr(t, "pol", None) is PLUS else "-"
-    word = _CTOR_KEYWORDS.get(type(t))
-    if word is not None:
-        kids = list(map(print_term, children(t), repeat(memo)))
-        s = f"{word}{sign}({', '.join(kids)})"
+    cls = type(t)
+    if cls is Var:
+        s = t.name + sign
+    elif cls in _FORMATS:
+        form, binds = _FORMATS[cls]
+        kids = map(print_term, children(t), repeat(memo))
+        if binds:
+            args = []
+            for kid, b in zip(kids, binders(t)):
+                if b is not None:
+                    args += b[0], "+" if b[1] is PLUS else "-"
+                args.append(kid)
+            kids = args
+        s = form.format(*kids, s=sign)
     else:
-        match t:
-            case Var(name):
-                s = name + sign
-            case Top():
-                s = "top+"
-            case Bot():
-                s = "bot-"
-            case Pair(left, right):
-                s = f"<{print_term(left, memo)}, {print_term(right, memo)}>{sign}"
-            case Case(scrutinee, _, s1, _, s2):
-                _, (b1, q), (b2, _) = binders(t)
-                q = "+" if q is PLUS else "-"
-                s = (
-                    f"case {print_term(scrutinee, memo)} "
-                    f"{{{b1}{q}. {print_term(s1, memo)} | {b2}{q}. {print_term(s2, memo)}}}{sign}"
-                )
-            case Lam(_, body):
-                ((x, q),) = binders(t)
-                q = "+" if q is PLUS else "-"
-                s = f"(\\{x}{q}. {print_term(body, memo)}){sign}"
-            case MPair(pos, neg):
-                s = f"{{{print_term(pos, memo)}, {print_term(neg, memo)}}}{sign}"
-            case _:
-                raise TypeError(f"not a term: {t!r}")
+        raise TypeError(f"not a term: {t!r}")
     if memo is not None:
         memo[id(t)] = s
     return s

@@ -238,7 +238,8 @@ class _Walker:
 
     def go(self, t: Term, scope: dict, free: dict) -> Formula:
         """t's formula, with scope the formulas of the variables bound above
-        it and free the map of its free variables."""
+        it, one dict for the walk that each binder is set in around its
+        child, and free the map of its free variables."""
         if type(t) is Var:
             v = t.name, t.pol
             ty = scope.get(v) or free.get(v)
@@ -255,10 +256,16 @@ class _Walker:
                 pat, b = p.type, scopes[i]
                 want = None if deferred[i] or isinstance(pat, MetaVar) else instantiate(pat, env, fresh)
                 f = b and instantiate(p.binds[1], env, fresh)
-                inner = {**scope, b: f} if b and out is None else scope
+                if b and out is None:  # b is bound at f over the child only
+                    outer, scope[b] = scope.get(b), f
                 path.append(i)
-                got = self.go(kids[i], inner, free if out is None else {})
+                got = self.go(kids[i], scope, free if out is None else {})
                 path.pop()
+                if b and out is None:
+                    if outer is None:
+                        del scope[b]
+                    else:
+                        scope[b] = outer
                 if out is not None:  # merge the child's resolved typing
                     got, kid = out[id(kids[i])]
                     if b in kid:

@@ -8,9 +8,11 @@ that a branch not use the other branch's binder).
 The last sections keep the code that spelled out each constructor before
 its shape was read off its fields: `children`, `with_children`,
 `dual_term`, `print_term` and the term parser (with its keyword branch),
-each a case per constructor, and the formula traversals that matched the
-four connectives one by one (`dual_formula`, `Substitution.apply`,
-`_rename_metavars`, `_metavar_order` and the unifier).  Everything in this
+each a case per constructor; the formula parser with a function per level
+of precedence, as it was before `textio._INFIX` stated the levels; and the
+formula traversals that matched the four connectives one by one
+(`dual_formula`, `Substitution.apply`, `_rename_metavars`,
+`_metavar_order` and the unifier).  Everything in this
 module reaches subterms through these copies, so the references do not
 share the code they are compared with.
 
@@ -88,7 +90,6 @@ from l2int.textio import (
     ParseError,
     PolarityError,
     SourceSpan,
-    _formula_level,
     _lex,
     _Parser,
     _pol,
@@ -935,6 +936,94 @@ def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
             return record(Case(scrutinee, b1, branch1, b2, branch2, pol))
         return record(Var(word, _pol(p)))
     p.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+
+
+# ------------------------------------------------------- formula parser
+
+
+def former_parse_formula(src: str) -> Formula:
+    """textio.parse_formula as it was before `textio._INFIX` drove it: a
+    function per level."""
+    p = _Parser(_lex(src, ("->", "-<"), "&|()"))
+    try:
+        f = _formula(p)
+    except RecursionError as e:
+        raise _too_deep(p) from e
+    if p.peek().kind != "eof":
+        p.fail(f"unexpected {p.peek().text!r} after formula")
+    return f
+
+
+def _formula(p: _Parser) -> Formula:
+    left = _disjunct(p)
+    op = p.peek().kind
+    if op not in ("->", "-<"):
+        return left
+    if op == "->":
+        parts = [left]
+        while p.peek().kind == "->":
+            p.next()
+            if p.peek(0).kind == "eof":
+                p.fail("expected a formula after '->'")
+            parts.append(_disjunct(p))
+            if p.peek().kind == "-<":
+                p.fail("cannot mix '->' and '-<' without parentheses")
+        f = parts[-1]
+        for part in reversed(parts[:-1]):
+            f = Imp(part, f)
+        return f
+    f = left
+    while p.peek().kind == "-<":
+        p.next()
+        f = CoImp(f, _disjunct(p))
+        if p.peek().kind == "->":
+            p.fail("cannot mix '->' and '-<' without parentheses")
+    return f
+
+
+def _disjunct(p: _Parser) -> Formula:
+    f = _conjunct(p)
+    while p.peek().kind == "|":
+        p.next()
+        f = Or(f, _conjunct(p))
+    return f
+
+
+def _conjunct(p: _Parser) -> Formula:
+    f = _atomic(p)
+    while p.peek().kind == "&":
+        p.next()
+        f = And(f, _atomic(p))
+    return f
+
+
+def _atomic(p: _Parser) -> Formula:
+    t = p.peek()
+    if t.kind == "(":
+        p.next()
+        f = _formula(p)
+        p.expect(")")
+        return f
+    if t.kind == "ident":
+        p.next()
+        if t.text == "bot":
+            return Falsum()
+        if t.text == "top":
+            return Verum()
+        return Atom(t.text)
+    p.fail(f"expected a formula, found {t.text or 'end of input'!r}", frozenset({"ident", "("}))
+
+
+def _formula_level(f: Formula) -> int:
+    match f:
+        case Imp() | CoImp():
+            return 0
+        case Or():
+            return 1
+        case And():
+            return 2
+        case _:
+            return 3
 
 
 # -------------------------------------------------------- formula traversals

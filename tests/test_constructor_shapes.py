@@ -1,7 +1,9 @@
 """Constructor shapes read off the dataclass fields, against the former code
 that spelled out each constructor (`former.py`): the child getter, `build`
 through `with_children`, the generic `dual_term`, the keyword table of the
-term parser and printer, and the formula traversals over `Connective`."""
+term parser and printer, and the formula traversals over `Connective`; and
+the formula parser and printer that `textio._INFIX` drives, against the
+former parser with a function per level of precedence."""
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -41,7 +43,16 @@ from l2int.syntax import (
     metavars_of,
     with_children,
 )
-from l2int.textio import _KEYWORD_CTORS, _TERM_KEYWORDS, ParseError, PolarityError, parse_term, print_term
+from l2int.textio import (
+    _KEYWORD_CTORS,
+    _TERM_KEYWORDS,
+    ParseError,
+    PolarityError,
+    parse_formula,
+    parse_term,
+    print_formula,
+    print_term,
+)
 from l2int.typecheck import Substitution, UnifyError, _rename_metavars, _unify
 import former
 from former import (
@@ -50,6 +61,8 @@ from former import (
     former_dual_formula,
     former_dual_term,
     former_metavar_order,
+    former_parse_formula,
+    former_print_formula,
     former_parse_term,
     former_print_term,
     former_rename_metavars,
@@ -164,6 +177,15 @@ def test_parse_errors_of_the_keyword_branch_match_former_code():
         assert _outcome(parse_term, src) == _outcome(former_parse_term, src), src
 
 
+def test_parse_errors_of_the_binders_match_former_code():
+    # The parser checks each binder's polarity against `binders`.
+    for src in [
+        "(\\x-. x+)+", "(\\x+. x-)-", "case x+ {y-. y+ | z+. z+}+", "case x- {y-. y+ | z+. z+}+",
+        "case x- {y-. y+ | z-. z+}+", "case x+ {top+. x+ | z+. z+}+", "(\\p1+. x+)+", "case x+ {y+. y+ | z+. z+}-",
+    ]:
+        assert _outcome(parse_term, src) == _outcome(former_parse_term, src), src
+
+
 # --------------------------------------------------------------- formulas
 
 VAR_NAMES = ["A", "B", "C", "D"]
@@ -217,3 +239,44 @@ def test_formula_traversals_match_former_code(f, g, s):
         want = type(e), str(e)
     assert got == want
     assert new.mapping == old.mapping
+
+
+def _formula_outcome(parse, src):
+    """What parse makes of src: the formula, or the error's kind, message,
+    span and expected tokens."""
+    try:
+        return parse(src)
+    except ParseError as e:
+        return type(e).__name__, e.message, e.span, e.expected
+
+
+# Pieces of formula text, and of what an edit may put into one.
+FORMULA_TOKENS = st.sampled_from(
+    ["a", "b", "top", "bot", "(", ")", "->", "-<", "&", "|", " ", "-", "<", ">", "?", "A", "\n"]
+)
+
+
+@hyp.given(st.lists(FORMULA_TOKENS, max_size=14), _formulas(VAR_NAMES), _formulas([]), st.data())
+@hyp.settings(max_examples=600, deadline=None)
+def test_formula_parser_and_printer_match_former_code(tokens, f, g, data):
+    src = "".join(tokens)
+    assert _formula_outcome(parse_formula, src) == _formula_outcome(former_parse_formula, src)
+
+    assert print_formula(f) == former_print_formula(f)
+    text = print_formula(g)
+    assert parse_formula(text) == g
+    i = data.draw(st.integers(0, len(text)))
+    j = data.draw(st.integers(i, min(len(text), i + 4)))
+    edited = text[:i] + data.draw(FORMULA_TOKENS) + text[j:]
+    assert _formula_outcome(parse_formula, edited) == _formula_outcome(former_parse_formula, edited)
+
+
+def test_formula_parse_errors_match_former_code():
+    # Only '->' before the end says "expected a formula after '->'".
+    for src in [
+        "a ->", "a -<", "a |", "a &", "a -> b -> ", "a -> b -< c", "a -< b -> c", "a -> b -> c -< d",
+        "a -< b -< c -> d", "(a -> b", "a b", "", ")", "-> a", "a -> (b -< c)", "a & | b", "(a -< b) -> c",
+    ]:
+        assert _formula_outcome(parse_formula, src) == _formula_outcome(former_parse_formula, src), src
+    assert _formula_outcome(parse_formula, "a -> ")[1] == "expected a formula after '->'"
+    assert _formula_outcome(parse_formula, "a -< ")[1] == "expected a formula, found 'end of input'"

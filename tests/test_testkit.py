@@ -7,7 +7,7 @@ import pytest
 
 from l2int.derivation import check_polarities, height, validate
 from l2int.rewrite import is_normal, normalize
-from l2int.syntax import PLUS, MINUS, Atom, atoms_of, is_ground, term_size
+from l2int.syntax import PLUS, MINUS, Atom, Connective, is_ground, term_size
 from l2int.testkit import (
     DEFAULT_WEIGHTS,
     GenConfig,
@@ -50,13 +50,22 @@ def test_gen_derivation_height_zero_gives_leaves():
     assert d.rule in ("Hyp+", "Hyp-")
 
 
+def _atoms(f) -> set[str]:
+    """The names of the atoms in f."""
+    if isinstance(f, Atom):
+        return {f.name}
+    if isinstance(f, Connective):
+        return _atoms(f.left) | _atoms(f.right)
+    return set()
+
+
 def test_gen_derivation_grounds_into_atom_pool():
     for seed in range(30):
         d = gen_derivation(GenConfig(seed=seed, max_height=5, atom_pool=("p", "q")))
         assert is_ground(d.concl.type)
-        names = atoms_of(d.concl.type)
+        names = _atoms(d.concl.type)
         for _, f in d.concl.basis.gamma + d.concl.basis.delta:
-            names |= atoms_of(f)
+            names |= _atoms(f)
         assert names <= {"p", "q"}
 
 
@@ -100,7 +109,7 @@ def test_gen_formula_and_basis_deterministic():
     b1 = gen_basis(random.Random(9))
     b2 = gen_basis(random.Random(9))
     assert b1 == b2
-    assert atoms_of(f1) <= {"a", "b", "c"}
+    assert _atoms(f1) <= {"a", "b", "c"}
 
 
 # ------------------------------------------------------------------ oracle
