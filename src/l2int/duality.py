@@ -10,7 +10,9 @@ on the nose, not just up to alpha.  `dual_term` rebuilds every constructor
 alike, with `syntax.build`: it reads the dual constructor from
 `derivation._DUAL_CTOR` and the order of the dual's children from
 `derivation.dual_premises`, the statements the rule table's dual rows are
-computed from.
+computed from.  `dual_derivation` dualizes each distinct formula, each
+term object and each basis object once per call: a JSON load and `check`
+share bases between nodes, and the dual keeps them shared.
 """
 
 from __future__ import annotations
@@ -64,20 +66,25 @@ RULE_DUAL = {name: rule.dual for name, rule in RULE_TABLE.items()}
 
 
 def dual_derivation(d: Derivation) -> Derivation:
-    """The dual of every node.  Each distinct formula and each term object
-    is dualized once per call, so formulas and subterms the input shares
-    stay shared in the dual."""
+    """The dual of every node.  Each distinct formula, each term object and
+    each basis object is dualized once per call, so formulas, subterms and
+    bases the input shares stay shared in the dual."""
     formula = _once(dual_formula)
     term = _dualizer({})
+    bases: dict[int, Basis] = {}  # by id: the input holds each basis for the call
+
+    def basis(b: Basis) -> Basis:
+        got = bases.get(id(b))
+        if got is None:
+            got = bases[id(b)] = _dual_basis(b, formula)
+        return got
 
     def node(d: Derivation) -> Derivation:
         rule = RULE_TABLE.get(d.rule)
         if rule is None:
             raise InvalidDerivation(f"unknown rule {d.rule!r}")
         j = d.concl
-        concl = Judgment(
-            _dual_basis(j.basis, formula), j.pol.flip(), term(j.term), formula(j.type)
-        )
+        concl = Judgment(basis(j.basis), j.pol.flip(), term(j.term), formula(j.type))
         prems = dual_premises(rule.ctor, tuple(node(p) for p in d.prems))
         return Derivation(rule.dual, concl, prems)
 

@@ -12,17 +12,20 @@ the particular letters chosen for hypotheses never matter.
 its own principal typing (its type and its free variables' formulas); a
 node's scheme is that typing renamed as `typecheck.infer_principal`
 renames, with the free variables named as in the node's canonical form.
+One walk gives a node's canonical form and its text: the text keys the
+entry and is kept as its hash, and only a new entry gets a scheme.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .derivation import Derivation, check_polarities
 from .duality import dual_term
 from .rewrite import DEFAULT_FUEL, FuelExhausted, NormalizeResult, normalize
 from .syntax import (
+    PLUS,
     Polarity,
     Term,
     Var,
@@ -31,8 +34,8 @@ from .syntax import (
     children,
     with_children,
 )
-from .textio import print_term
-from .typecheck import TypeScheme, Typing, Untypable, infer_principal, infer_typing, principal
+from .textio import _format_term, print_term
+from .typecheck import TypeScheme, Typing, Untypable, infer_principal, infer_typing, principal_scheme
 
 IDENTICAL = "identical"
 IDENTICAL_MODULO_DUALITY = "identical-modulo-duality"
@@ -74,32 +77,39 @@ def canonical_variable_form(t: Term, free: dict[tuple[str, Polarity], str] | Non
     under a bijective polarity-preserving renaming of variables.  free,
     where given, gets the name each free variable of t is renamed to.
     """
+    return _canonical(t, {} if free is None else free)[0]
+
+
+def _canonical(t: Term, free: dict[tuple[str, Polarity], str]) -> tuple[Term, str]:
+    """canonical_variable_form(t, free) and its text, in one walk: each
+    node's text is formatted from its children's as the node is built."""
     fresh = map("v{}".format, itertools.count())
-    if free is None:
-        free = {}
     bound: dict[tuple[str, Polarity], str] = {}  # the binders in scope, innermost first
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
+    def go(t: Term) -> tuple[Term, str]:
+        if type(t) is Var:
             name = bound.get((t.name, t.pol))
             if name is None:
                 name = free.setdefault((t.name, t.pol), next(fresh))
-            return Var(name, t.pol)
-        new, names = [], []
+            return Var(name, t.pol), name + ("+" if t.pol is PLUS else "-")
+        new, names, texts = [], [], []
         for c, b in zip(children(t), binders(t)):
             if b is None:
-                new.append(go(c))
+                k, s = go(c)
                 names.append(None)
-                continue
-            x = next(fresh)
-            outer, bound[b] = bound.get(b), x
-            new.append(go(c))
-            names.append(x)
-            if outer is None:
-                del bound[b]
             else:
-                bound[b] = outer
-        return with_children(t, new, names)
+                x = next(fresh)
+                outer, bound[b] = bound.get(b), x
+                k, s = go(c)
+                names.append(x)
+                if outer is None:
+                    del bound[b]
+                else:
+                    bound[b] = outer
+            new.append(k)
+            texts.append(s)
+        k = with_children(t, new, names)
+        return k, _format_term(k, texts)
 
     return go(t)
 
@@ -109,12 +119,16 @@ class SenseEntry:
     term: Term  # in canonical variable form
     pol: Polarity
     scheme: TypeScheme
+    # The term's text, which stands for the term in the hash (the scheme
+    # follows from the term); printed from term where not given.
+    text: str | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.text is None:
+            object.__setattr__(self, "text", print_term(self.term))
 
     def __hash__(self) -> int:
-        # The term's text stands for the term, and the scheme follows from
-        # it.  Printing takes one frame per level of the term, where the
-        # hash of a term dataclass takes two.
-        return hash((print_term(self.term), self.pol))
+        return hash((self.text, self.pol))
 
 
 @dataclass(frozen=True)
@@ -152,12 +166,11 @@ def sense(d: Derivation) -> SenseDescriptor:
                     raise Untypable(v.message, v.path)
                 infer_typing(t, typings)
             names: dict[tuple[str, Polarity], str] = {}
-            key = canonical_variable_form(t, names)
-            text = print_term(key)
+            key, text = _canonical(t, names)
             if (text, pol) not in entries:
                 ty, free = typings[id(t)]
                 renamed = {(names[v], v[1]): f for v, f in free.items()}
-                entries[text, pol] = SenseEntry(key, pol, principal(ty, renamed, pol).scheme)
+                entries[text, pol] = SenseEntry(key, pol, principal_scheme(ty, renamed), text)
     except Exception:  # whatever failed, the former path decides the error
         for node in _preorder(d):
             infer_principal(canonical_variable_form(node.concl.term))

@@ -30,6 +30,11 @@ class Polarity(enum.Enum):
     PLUS = "+"
     MINUS = "-"
 
+    # The two members are the only instances, so identity decides equality
+    # and object's C-level hash serves: `enum`'s own `__hash__` is a Python
+    # call on every (name, polarity) key hashed.
+    __hash__ = object.__hash__
+
     def flip(self) -> "Polarity":
         return MINUS if self is PLUS else PLUS
 
@@ -482,7 +487,9 @@ def alpha_key(t: Term):
     """Hashable key equal for alpha-equivalent terms; free vars keep identity.
     A bound variable is keyed by the number of binders above its own."""
 
-    def go(t: Term, env: dict, depth: int):
+    env: dict = {}  # the binders in scope, each at its depth; set and restored around a child
+
+    def go(t: Term, depth: int):
         if isinstance(t, Var):
             k = env.get((t.name, t.pol))
             return ("b", k, t.pol.value) if k is not None else ("f", t.name, t.pol.value)
@@ -492,10 +499,18 @@ def alpha_key(t: Term):
             return (tag,)
         key = [tag, t.pol.value]
         for c, b in zip(kids, binders(t)):
-            key.append(go(c, env, depth) if b is None else go(c, {**env, b: depth}, depth + 1))
+            if b is None:
+                key.append(go(c, depth))
+                continue
+            outer, env[b] = env.get(b), depth
+            key.append(go(c, depth + 1))
+            if outer is None:
+                del env[b]
+            else:
+                env[b] = outer
         return tuple(key)
 
-    return go(t, {}, 0)
+    return go(t, 0)
 
 
 # ------------------------------------------------------------------ memos

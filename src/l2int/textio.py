@@ -12,10 +12,13 @@ Derivations travel as JSON trees: {"rule", "concl", "prems"} with formulas
 and terms embedded as strings in this module's syntax.  A load parses each
 distinct string once and shares the result between the nodes that carry it,
 and a premise whose term string is its parent's subterm gets that subterm
-object without a parse.  A dump writes the JSON text itself, byte for byte
-what `json.dumps` makes of the tree, and prints each formula object and
-each term object once: a premise's term is its parent's subterm, so its
-text is known by then.
+object without a parse.  Formulas are shared by span: a formula parse
+records the exact text of every subformula it makes, and a later string
+with that text gets that object without a parse, so equal formulas written
+alike are one object.  Each distinct basis is made once per load.  A dump
+writes the JSON text itself, byte for byte what `json.dumps` makes of the
+tree, and prints each formula object and each term object once: a
+premise's term is its parent's subterm, so its text is known by then.
 """
 
 from __future__ import annotations
@@ -193,13 +196,33 @@ def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
     return toks
 
 
+# How many characters of subformula text a formula parse may record per
+# character of its source (see `_Parser.share`).  A chain of n connectives
+# has n folds of growing text, which would take memory quadratic in n.
+_SLICE_ROOM = 8
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """A position in the tokens of src, which end with one eof token that
+    `next` never moves past, so `toks[pos]` is always a token."""
+
+    def __init__(self, tokens: list[_Token], src: str = "", slices: dict[str, Formula] | None = None):
         self.toks = tokens
         self.pos = 0
+        self.src, self.slices, self.room = src, slices, _SLICE_ROOM * len(src)
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Token:
+        return self.toks[self.pos]
+
+    def share(self, f: Formula, start: int, end: int) -> Formula:
+        """f, or with slices the formula they hold under f's text, tokens
+        start to end - 1, recording f there if none; the folds nearest the
+        atoms come first, and once they fill the room no more are kept."""
+        if self.slices is None:
+            return f
+        i, j = self.toks[start].span.start, self.toks[end - 1].span.end
+        self.room -= j - i
+        return f if self.room < 0 else self.slices.setdefault(self.src[i:j], f)
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
@@ -230,8 +253,12 @@ def _too_deep(p: _Parser) -> ParseError:
     return ParseError("nested too deeply", p.peek().span)
 
 
-def parse_formula(src: str) -> Formula:
-    p = _Parser(_lex(src, *_FORMULA_TOKENS))
+def parse_formula(src: str, slices: dict[str, Formula] | None = None) -> Formula:
+    """The formula src stands for.  slices, where given, gets the exact
+    text of each subformula the parse makes (see `_formula`) and keeps the
+    formula it held for a text already there, so a caller that parses
+    many strings into one dict looks a later string up there first."""
+    p = _Parser(_lex(src, *_FORMULA_TOKENS), src, slices)
     try:
         f = _formula(p)
     except RecursionError as e:
@@ -246,38 +273,48 @@ def _formula(p: _Parser, level: int = 0) -> Formula:
     joined by this level's connective, or, at the atomic level, an atom, a
     constant or a formula in parentheses.  Each level takes one frame.  The
     next token is read off the token list: a `peek` call at each level
-    costs about a tenth of a parse."""
+    costs about a tenth of a parse.
+
+    Each formula made (an atom or constant, each fold of a chain: `a | b`
+    and then `a | b | c`, `b -> c` and then `a -> b -> c`) goes through
+    `p.share` with its exact text, first token to last, which parses on
+    its own to an equal formula.  A parenthesized side's inner text is
+    shared by the parse inside the parentheses."""
     if level == _ATOMIC:
         t = p.next()
         if t.kind == "ident":
-            return Falsum() if t.text == "bot" else Verum() if t.text == "top" else Atom(t.text)
+            f = Falsum() if t.text == "bot" else Verum() if t.text == "top" else Atom(t.text)
+            return p.share(f, p.pos - 1, p.pos)
         if t.kind == "(":
             f = _formula(p)
             p.expect(")")
             return f
         found = t.text or "end of input"
         raise ParseError(f"expected a formula, found {found!r}", t.span, frozenset({"ident", "("}))
+    first = p.pos
     f = _formula(p, level + 1)
     sym = p.toks[p.pos].kind
     cls, at, rightward = _BY_SYMBOL.get(sym, _NO_OP)
     if at != level:
         return f
-    parts = [f]
+    parts, bounds = [f], [(first, p.pos)]  # each part's first token and the one after its last
     while p.toks[p.pos].kind == sym:
         p.pos += 1
         if sym == "->" and p.toks[p.pos].kind == "eof":
             p.fail("expected a formula after '->'")
+        start = p.pos
         parts.append(_formula(p, level + 1))
+        bounds.append((start, p.pos))
         nxt = _BY_SYMBOL.get(p.toks[p.pos].kind, _NO_OP)
         if nxt[1] == level and nxt[0] is not cls:
             p.fail("cannot mix '->' and '-<' without parentheses")
     if rightward:
         f = parts[-1]
-        for part in reversed(parts[:-1]):
-            f = cls(part, f)
+        for k in range(len(parts) - 2, -1, -1):
+            f = p.share(cls(parts[k], f), bounds[k][0], p.pos)
         return f
-    for part in parts[1:]:
-        f = cls(f, part)
+    for k in range(1, len(parts)):
+        f = p.share(cls(f, parts[k]), first, bounds[k][1])
     return f
 
 
@@ -360,7 +397,7 @@ def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
         spans[id(t)] = SourceSpan(start.start, end.end, start.line, start.column)
         return t
 
-    if tok.kind == "(" and p.peek(1).kind != "\\":  # grouping
+    if tok.kind == "(" and p.toks[p.pos + 1].kind != "\\":  # grouping; eof follows any "("
         p.next()
         t = _term(p, spans)
         p.expect(")")
@@ -404,27 +441,30 @@ def print_term(t: Term, memo: dict[int, str] | None = None) -> str:
         s = memo.get(id(t))
         if s is not None:
             return s
-    # Formatting the polarity enum would cost three calls.
-    sign = "+" if getattr(t, "pol", None) is PLUS else "-"
-    cls = type(t)
-    if cls is Var:
-        s = t.name + sign
-    elif cls in _FORMATS:
-        form, binds = _FORMATS[cls]
-        kids = map(print_term, children(t), repeat(memo))
-        if binds:
-            args = []
-            for kid, b in zip(kids, binders(t)):
-                if b is not None:
-                    args += b[0], "+" if b[1] is PLUS else "-"
-                args.append(kid)
-            kids = args
-        s = form.format(*kids, s=sign)
+    if type(t) is Var:
+        s = t.name + ("+" if t.pol is PLUS else "-")
+    elif type(t) in _FORMATS:
+        s = _format_term(t, list(map(print_term, children(t), repeat(memo))))
     else:
         raise TypeError(f"not a term: {t!r}")
     if memo is not None:
         memo[id(t)] = s
     return s
+
+
+def _format_term(t: Term, kids: list[str]) -> str:
+    """The text of t, not a variable, given its children's in order."""
+    # Formatting the polarity enum would cost three calls.
+    sign = "+" if getattr(t, "pol", None) is PLUS else "-"
+    form, binds = _FORMATS[type(t)]
+    if binds:
+        args = []
+        for kid, b in zip(kids, binders(t)):
+            if b is not None:
+                args += b[0], "+" if b[1] is PLUS else "-"
+            args.append(kid)
+        kids = args
+    return form.format(*kids, s=sign)
 
 
 # ------------------------------------------------------------- derivations
@@ -512,16 +552,29 @@ def _is_basis(entries) -> bool:
     )
 
 
+_POLARITIES = {"+": PLUS, "-": MINUS}
+
+
 def derivation_from_obj(obj) -> Derivation:
     """The derivation a JSON object describes.  Each distinct formula or
     term string is parsed once per call and the result shared by every
-    node that carries it.  A premise whose term string is the text of one
-    of its parent term's children gets that child object, and its string is
+    node that carries it.  A formula string that is the exact text of a
+    subformula parsed before in the call (see `_formula`) gets that object
+    and is not parsed.  A premise whose term string is the text of one of
+    its parent term's children gets that child object, and its string is
     not parsed at all; so a valid derivation's term is parsed once, at the
-    root, and every premise's term is its parent's subterm."""
-    formula = _once(parse_formula)
+    root, and every premise's term is its parent's subterm.  Each distinct
+    basis, by its gamma and delta entries as given, is made once."""
+    formulas: dict[str, Formula] = {}  # by text: every string parsed and its subformulas' texts
     spans: dict[int, SourceSpan] = {}  # every parsed subterm's place in its source
     term = _once(partial(_parse_term, spans=spans))
+    bases: dict[tuple, Basis] = {}
+
+    def formula(src: str) -> Formula:
+        f = formulas.get(src)
+        if f is None:
+            f = formulas[src] = parse_formula(src, formulas)
+        return f
 
     def subject(src: str, parent: tuple[Term, str] | None) -> tuple[Term, str]:
         """The term src stands for, and the string its spans refer to."""
@@ -542,15 +595,20 @@ def derivation_from_obj(obj) -> Derivation:
         for key in ("pol", "term", "type"):
             if not isinstance(obj.get(key), str):
                 raise DerivationFormatError(f"{key} must be a string")
-        gamma = {n: formula(f) for n, f in obj["gamma"]}
-        delta = {n: formula(f) for n, f in obj["delta"]}
-        pol = {"+": PLUS, "-": MINUS}.get(obj["pol"])
+        key = tuple(map(tuple, obj["gamma"])), tuple(map(tuple, obj["delta"]))
+        basis = bases.get(key)
+        if basis is None:
+            gamma = {n: formula(f) for n, f in obj["gamma"]}
+            delta = {n: formula(f) for n, f in obj["delta"]}
+        pol = _POLARITIES.get(obj["pol"])
         if pol is None:
             raise DerivationFormatError(f"pol must be '+' or '-', not {obj['pol']!r}")
         (t, src), typ = subject(obj["term"], parent), formula(obj["type"])
-        if len(gamma) != len(obj["gamma"]) or len(delta) != len(obj["delta"]):
-            raise DerivationFormatError("duplicate assumption name in basis")
-        return Judgment(Basis.make(gamma, delta), pol, t, typ), src
+        if basis is None:
+            if len(gamma) != len(obj["gamma"]) or len(delta) != len(obj["delta"]):
+                raise DerivationFormatError("duplicate assumption name in basis")
+            basis = bases[key] = Basis.make(gamma, delta)
+        return Judgment(basis, pol, t, typ), src
 
     def node(obj, parent: tuple[Term, str] | None = None) -> Derivation:
         if not isinstance(obj, dict):

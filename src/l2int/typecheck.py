@@ -176,16 +176,29 @@ def principal(body: Formula, free: dict[tuple[str, Polarity], Formula], pol: Pol
     """The judgment that concludes body and assumes each free variable at
     its formula in free, its metavariables renamed A, B, ... in order of
     first occurrence: in gamma by name, then in delta, then in body."""
-    gamma = sorted((n, f) for (n, p), f in free.items() if p is PLUS)
-    delta = sorted((n, f) for (n, p), f in free.items() if p is MINUS)
-    order = metavars_of(*(f for _, f in gamma), *(f for _, f in delta), body)
-    names = {n: _letter(i) for i, n in enumerate(order)}
+    gamma, delta, names = _lettered(body, free)
     basis = Basis(
         tuple((n, _rename_metavars(f, names)) for n, f in gamma),
         tuple((n, _rename_metavars(f, names)) for n, f in delta),
     )
-    scheme = TypeScheme(tuple(names[n] for n in order), _rename_metavars(body, names))
-    return Principal(basis, pol, scheme)
+    return Principal(basis, pol, TypeScheme(tuple(names.values()), _rename_metavars(body, names)))
+
+
+def principal_scheme(body: Formula, free: dict[tuple[str, Polarity], Formula]) -> TypeScheme:
+    """`principal`'s scheme, without renaming the basis: its letters still
+    follow first occurrence in gamma, then delta, then body, and list the
+    metavariables that occur in the basis alone."""
+    names = _lettered(body, free)[2]
+    return TypeScheme(tuple(names.values()), _rename_metavars(body, names))
+
+
+def _lettered(body: Formula, free: dict[tuple[str, Polarity], Formula]):
+    """free's gamma and delta entries, each sorted by name, and the letter
+    of each metavariable in order of first occurrence in them and body."""
+    gamma = sorted((n, f) for (n, p), f in free.items() if p is PLUS)
+    delta = sorted((n, f) for (n, p), f in free.items() if p is MINUS)
+    order = metavars_of(*(f for _, f in gamma), *(f for _, f in delta), body)
+    return gamma, delta, {n: _letter(i) for i, n in enumerate(order)}
 
 
 Typing = tuple[Formula, dict[tuple[str, Polarity], Formula]]

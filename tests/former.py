@@ -29,7 +29,15 @@ it was before it inserted by bisection, and `check_polarities` and
 `infer_principal` as they were before the rule table drove them: a case
 per constructor, and that inference behind the polarity check.  The
 former validator, parser, `sense` and `check` call these two, not the
-code they are compared with."""
+code they are compared with.  The term parser and the formula parser use
+`_FormerParser`, whose `peek` could look ahead, as textio's parser state
+did then.
+
+The last section keeps the JSON load and `dual_derivation` as they were
+before a load recorded each subformula's text and made each distinct
+basis once, and before `dual_derivation` dualized each basis object once:
+they parse with the former parsers and dualize with the former
+`dual_formula` and `dual_term`."""
 
 from __future__ import annotations
 
@@ -38,10 +46,12 @@ import json
 from dataclasses import dataclass, field
 
 from l2int.derivation import (
+    RULE_TABLE,
     RULES,
     Derivation,
     Judgment,
     PolarityViolation,
+    dual_premises,
     RuleViolation,
     instantiate,
     match_pattern,
@@ -87,6 +97,7 @@ from l2int.syntax import (
     rename_bound,
 )
 from l2int.textio import (
+    DerivationFormatError,
     ParseError,
     PolarityError,
     SourceSpan,
@@ -108,6 +119,15 @@ from l2int.typecheck import (
     _unify,
     principal,
 )
+from l2int.duality import InvalidDerivation
+
+
+class _FormerParser(_Parser):
+    """textio's parser state as it was before `peek` read the current
+    token only: any token ahead, clamped to the last."""
+
+    def peek(self, ahead: int = 0):
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
 
 def former_validate(d: Derivation) -> list[RuleViolation]:
@@ -814,9 +834,10 @@ def former_print_term(t: Term) -> str:
 _TERM_KEYWORDS = {"top", "bot", "abort", "fst", "snd", "inl", "inr", "case", "app", "p1", "p2"}
 
 
-def former_parse_term(src: str) -> Term:
-    spans: dict[int, SourceSpan] = {}
-    p = _Parser(_lex(src, (), "()<>{},.|\\+-"))
+def former_parse_term(src: str, spans: dict[int, SourceSpan] | None = None) -> Term:
+    """spans, where given, gets the place in src of each subterm, by id."""
+    spans = {} if spans is None else spans
+    p = _FormerParser(_lex(src, (), "()<>{},.|\\+-"))
     try:
         t = _term(p, spans)
         if p.peek().kind != "eof":
@@ -836,14 +857,14 @@ def _subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     return t
 
 
-def _binder(p: _Parser) -> tuple[str, Polarity]:
+def _binder(p: _FormerParser) -> tuple[str, Polarity]:
     t = p.expect("ident")
     if t.text in _TERM_KEYWORDS:
         raise ParseError(f"{t.text!r} is reserved and cannot bind", t.span)
     return t.text, _pol(p)
 
 
-def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
+def _term(p: _FormerParser, spans: dict[int, SourceSpan]) -> Term:
     start = p.peek().span
 
     def record(t: Term) -> Term:
@@ -944,7 +965,7 @@ def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
 def former_parse_formula(src: str) -> Formula:
     """textio.parse_formula as it was before `textio._INFIX` drove it: a
     function per level."""
-    p = _Parser(_lex(src, ("->", "-<"), "&|()"))
+    p = _FormerParser(_lex(src, ("->", "-<"), "&|()"))
     try:
         f = _formula(p)
     except RecursionError as e:
@@ -954,7 +975,7 @@ def former_parse_formula(src: str) -> Formula:
     return f
 
 
-def _formula(p: _Parser) -> Formula:
+def _formula(p: _FormerParser) -> Formula:
     left = _disjunct(p)
     op = p.peek().kind
     if op not in ("->", "-<"):
@@ -981,7 +1002,7 @@ def _formula(p: _Parser) -> Formula:
     return f
 
 
-def _disjunct(p: _Parser) -> Formula:
+def _disjunct(p: _FormerParser) -> Formula:
     f = _conjunct(p)
     while p.peek().kind == "|":
         p.next()
@@ -989,7 +1010,7 @@ def _disjunct(p: _Parser) -> Formula:
     return f
 
 
-def _conjunct(p: _Parser) -> Formula:
+def _conjunct(p: _FormerParser) -> Formula:
     f = _atomic(p)
     while p.peek().kind == "&":
         p.next()
@@ -997,7 +1018,7 @@ def _conjunct(p: _Parser) -> Formula:
     return f
 
 
-def _atomic(p: _Parser) -> Formula:
+def _atomic(p: _FormerParser) -> Formula:
     t = p.peek()
     if t.kind == "(":
         p.next()
@@ -1480,3 +1501,96 @@ def former_infer_principal(t: Term) -> Principal:
     cx = _FormerCtx()
     body = former_apply(cx.subst, _former_infer(t, (), {}, cx))
     return principal(body, {v: former_apply(cx.subst, f) for v, f in cx.free.items()}, t.pol)
+
+
+# ------------------------------------- the JSON load and the dual as they were
+
+
+def former_derivation_from_obj(obj) -> Derivation:
+    """textio.derivation_from_obj as it was before a load recorded each
+    subformula's text and made each distinct basis once: each distinct
+    formula string parsed on its own, and every node's basis made and
+    sorted afresh.  A premise whose term string is the text of a child of
+    its parent's term still gets that child."""
+    formulas: dict[str, Formula] = {}
+    terms: dict[str, Term] = {}
+    spans: dict[int, SourceSpan] = {}
+
+    def formula(src: str) -> Formula:
+        if src not in formulas:
+            formulas[src] = former_parse_formula(src)
+        return formulas[src]
+
+    def subject(src: str, parent):
+        if parent is not None:
+            parent_term, parent_src = parent
+            for child in former_children(parent_term):
+                span = spans[id(child)]
+                if span.end - span.start == len(src) and parent_src.startswith(src, span.start):
+                    return child, parent_src
+        if src not in terms:
+            terms[src] = former_parse_term(src, spans)
+        return terms[src], src
+
+    def is_basis(entries) -> bool:
+        return isinstance(entries, list) and all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
+            for e in entries
+        )
+
+    def judgment(obj, parent):
+        if not isinstance(obj, dict):
+            raise DerivationFormatError("judgment must be an object")
+        for key in ("gamma", "delta"):
+            if not is_basis(obj.get(key)):
+                raise DerivationFormatError(f"{key} must be a list of [name, formula] string pairs")
+        for key in ("pol", "term", "type"):
+            if not isinstance(obj.get(key), str):
+                raise DerivationFormatError(f"{key} must be a string")
+        gamma = {n: formula(f) for n, f in obj["gamma"]}
+        delta = {n: formula(f) for n, f in obj["delta"]}
+        pol = {"+": PLUS, "-": MINUS}.get(obj["pol"])
+        if pol is None:
+            raise DerivationFormatError(f"pol must be '+' or '-', not {obj['pol']!r}")
+        (t, src), typ = subject(obj["term"], parent), formula(obj["type"])
+        if len(gamma) != len(obj["gamma"]) or len(delta) != len(obj["delta"]):
+            raise DerivationFormatError("duplicate assumption name in basis")
+        return Judgment(Basis.make(gamma, delta), pol, t, typ), src
+
+    def node(obj, parent=None) -> Derivation:
+        if not isinstance(obj, dict):
+            raise DerivationFormatError("derivation must be an object")
+        for key in ("rule", "concl", "prems"):
+            if key not in obj:
+                raise DerivationFormatError(f"derivation node lacks {key!r}")
+        if not isinstance(obj["rule"], str):
+            raise DerivationFormatError("rule must be a string")
+        if not isinstance(obj["prems"], list):
+            raise DerivationFormatError("prems must be a list")
+        concl, src = judgment(obj["concl"], parent)
+        here = (concl.term, src)
+        return Derivation(obj["rule"], concl, tuple(node(p, here) for p in obj["prems"]))
+
+    return node(obj)
+
+
+def former_dual_derivation(d: Derivation) -> Derivation:
+    """duality.dual_derivation as it was before it dualized each basis
+    object once: every node's basis dualized afresh, and every formula
+    and term too."""
+
+    def basis(b: Basis) -> Basis:
+        gamma = tuple((n, former_dual_formula(f)) for n, f in b.delta)
+        delta = tuple((n, former_dual_formula(f)) for n, f in b.gamma)
+        return Basis(gamma, delta)
+
+    def node(d: Derivation) -> Derivation:
+        rule = RULE_TABLE.get(d.rule)
+        if rule is None:
+            raise InvalidDerivation(f"unknown rule {d.rule!r}")
+        j = d.concl
+        concl = Judgment(basis(j.basis), j.pol.flip(), former_dual_term(j.term), former_dual_formula(j.type))
+        prems = dual_premises(rule.ctor, tuple(node(p) for p in d.prems))
+        return Derivation(rule.dual, concl, prems)
+
+    return node(d)

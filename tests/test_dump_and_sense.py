@@ -15,7 +15,7 @@ import pytest
 
 from l2int.derivation import Derivation, Judgment
 from l2int.duality import dual_derivation
-from l2int.meaning import sense
+from l2int.meaning import canonical_variable_form, sense
 from l2int.rewrite import find_redexes, step
 from l2int.syntax import (
     MINUS,
@@ -34,6 +34,7 @@ from l2int.syntax import (
     Inl,
     Inr,
     Lam,
+    MetaVar,
     MPair,
     Or,
     Pair,
@@ -48,7 +49,7 @@ from l2int.syntax import (
     with_children,
 )
 from l2int.textio import derivation_from_json, derivation_to_json, parse_formula, parse_term, print_formula
-from l2int.typecheck import check
+from l2int.typecheck import TypeScheme, check, infer_principal
 from conftest import load_golden
 from former import former_derivation_to_json, former_derivation_to_obj, former_print_formula, former_sense
 from test_acceptance import REDEX_HEAVY_WEIGHTS
@@ -228,6 +229,27 @@ def test_sense_gives_each_position_its_own_metavariables():
     assert d.prems[0].concl.term is d.prems[1].concl.term is u
     schemes = {print_formula(e.scheme.body) for e in sense(d).entries}
     assert schemes == {"(?A -> ?A) & (?B -> ?B)", "?A -> ?A", "?A"}
+    assert sense(d) == former_sense(d)
+
+
+@pytest.mark.parametrize(
+    "src, letters, body",
+    [
+        ("fst+(x+)", "AB", "A"),  # x+ : ?A & ?B
+        ("app+(f+, x+)", "AB", "B"),  # f+ : ?A -> ?B, x+ : ?A
+        ("app-(f-, fst-(x-))", "ABC", "A"),  # f- : ?A -< ?B, x- : ?B | ?C
+    ],
+)
+def test_scheme_letters_start_in_the_basis(src, letters, body):
+    # The letters follow first occurrence in gamma by name, then delta,
+    # then the body, and list those the basis holds alone.  sense, which
+    # keeps no basis, must letter as infer_principal does.
+    t = parse_term(src)
+    scheme = TypeScheme(tuple(letters), MetaVar(body))
+    assert infer_principal(t).scheme == scheme
+    d = _mirror(t)
+    entries = {e.term: e.scheme for e in sense(d).entries}
+    assert entries[canonical_variable_form(t)] == scheme
     assert sense(d) == former_sense(d)
 
 

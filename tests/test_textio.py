@@ -16,6 +16,7 @@ from l2int.syntax import (
     Basis,
     Bot,
     CoImp,
+    Connective,
     Falsum,
     Imp,
     MetaVar,
@@ -468,3 +469,34 @@ def test_derivation_json_load_memory_is_linear():
         tracemalloc.stop()
     assert print_term(d.concl.term) == term
     assert peak < 50 * len(text)
+
+
+def test_derivation_json_load_memory_is_linear_in_a_formula_chain():
+    # The load records each subformula's text, and each fold of a chain is
+    # text of its own: all of them would take 43 MB at 3,000 atoms, four
+    # times as much as at 1,500 and 800 times the text.  The load records
+    # up to 8 times the text, and most of its peak is the tokens (about 50
+    # times the text before it recorded any).
+    def load(sym, n):
+        chain = f" {sym} ".join(f"a{i}" for i in range(n))
+        concl = {"gamma": [["x", chain]], "delta": [], "pol": "+", "term": "x+", "type": chain}
+        text = json.dumps({"rule": "Hyp+", "concl": concl, "prems": []})
+        tracemalloc.start()
+        try:
+            d = derivation_from_json(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.concl.basis.gamma[0][1] is d.concl.type
+        f, names = d.concl.type, []  # too deep for print_formula
+        while isinstance(f, Connective):
+            side, f = (f.left, f.right) if sym == "->" else (f.right, f.left)
+            names.append(side.name)
+        names.append(f.name)
+        assert names == [f"a{i}" for i in (range(n) if sym == "->" else reversed(range(n)))]
+        return peak, len(text)
+
+    for sym in ("->", "-<", "|", "&"):
+        (small, _), (large, size) = load(sym, 1500), load(sym, 3000)
+        assert large < 2.5 * small
+        assert large < 100 * size
