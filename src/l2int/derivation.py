@@ -92,9 +92,13 @@ class Derivation:
 
 
 def height(d: Derivation) -> int:
+    """Rules above the deepest leaf, in one frame per level."""
     if d.rule in ("Hyp+", "Hyp-"):
         return 0
-    return 1 + max((height(p) for p in d.prems), default=0)
+    h = 0
+    for p in d.prems:
+        h = max(h, height(p))
+    return 1 + h
 
 
 # ------------------------------------------------------------ the rule table
@@ -359,23 +363,26 @@ def _show(f: Formula) -> str:
 
 
 def _check_basis(i: int, pb: Basis, cb: Basis, discharged, bad) -> None:
+    """Compares pb's and cb's (name, formula) entries in place, a formula
+    shared with the conclusion by identity."""
     if discharged is None and pb == cb:
         return
-    extra_g = set(pb.gamma) - set(cb.gamma)
-    extra_d = set(pb.delta) - set(cb.delta)
+    allowed = None
     if discharged is not None:
         name, pol, formula = discharged
         held = cb.lookup(name, pol)
         if held is not None and held != formula:
             bad(f"premise {i} discharges {name}{pol} already assumed at another formula")
             return
-        allowed = {(name, formula)}
-        if pol is PLUS:
-            extra_g -= allowed
-        else:
-            extra_d -= allowed
-    if extra_g or extra_d:
-        names = ", ".join(sorted(n for n, _ in extra_g | extra_d))
+        allowed = pol, (name, formula)
+    extra = []  # each entry once, however many sides hold it
+    for pol in (PLUS, MINUS):
+        side = cb.side(pol)
+        for e in pb.side(pol):
+            if e not in side and e not in extra and (pol, e) != allowed:
+                extra.append(e)
+    if extra:
+        names = ", ".join(sorted(n for n, _ in extra))
         bad(f"premise {i} assumes more than the conclusion allows: {names}")
-    if not (set(cb.gamma) <= set(pb.gamma) and set(cb.delta) <= set(pb.delta)):
+    if any(e not in pb.side(pol) for pol in (PLUS, MINUS) for e in cb.side(pol)):
         bad(f"premise {i} drops assumptions from the conclusion's basis")

@@ -10,15 +10,16 @@ on the nose, not just up to alpha.  `dual_term` rebuilds every constructor
 alike, with `syntax.build`: it reads the dual constructor from
 `derivation._DUAL_CTOR` and the order of the dual's children from
 `derivation.dual_premises`, the statements the rule table's dual rows are
-computed from.  `dual_derivation` dualizes each distinct formula, each
-term object and each basis object once per call: a JSON load and `check`
-share bases between nodes, and the dual keeps them shared.
+computed from.  `dual_derivation` dualizes each formula object, each term
+object and each basis object once per call, a formula part by part: a
+JSON load and `check` share formulas and bases between nodes, and the
+dual keeps them shared.  Formulas keep no hash; the memos are keyed by id.
 """
 
 from __future__ import annotations
 
 from .derivation import _DUAL_CTOR, RULE_TABLE, Derivation, Judgment, dual_premises
-from .syntax import Basis, Term, Var, _once, build, children, dual_formula, parts_with
+from .syntax import Basis, Formula, Term, Var, build, children, dual_formula, parts_with
 
 
 class InvalidDerivation(Exception):
@@ -52,13 +53,11 @@ def _dualizer(duals: dict[int, Term] | None):
 dual_term = _dualizer(None)
 
 
-def dual_basis(b: Basis) -> Basis:
-    return _dual_basis(b, dual_formula)
-
-
-def _dual_basis(b: Basis, formula) -> Basis:
-    gamma = tuple((n, formula(f)) for n, f in b.delta)
-    delta = tuple((n, formula(f)) for n, f in b.gamma)
+def dual_basis(b: Basis, memo: dict[int, Formula] | None = None) -> Basis:
+    """b's sides swapped and each formula dualized, with memo as in
+    `dual_formula`."""
+    gamma = tuple((n, dual_formula(f, memo)) for n, f in b.delta)
+    delta = tuple((n, dual_formula(f, memo)) for n, f in b.gamma)
     return Basis(gamma, delta)
 
 
@@ -66,17 +65,18 @@ RULE_DUAL = {name: rule.dual for name, rule in RULE_TABLE.items()}
 
 
 def dual_derivation(d: Derivation) -> Derivation:
-    """The dual of every node.  Each distinct formula, each term object and
-    each basis object is dualized once per call, so formulas, subterms and
-    bases the input shares stay shared in the dual."""
-    formula = _once(dual_formula)
+    """The dual of every node.  Each formula object, each term object and
+    each basis object is dualized once per call, a formula part by part, so
+    formulas and their parts, subterms and bases the input shares stay
+    shared in the dual."""
+    formulas: dict[int, Formula] = {}  # all three memos by id: the input holds each object for the call
     term = _dualizer({})
-    bases: dict[int, Basis] = {}  # by id: the input holds each basis for the call
+    bases: dict[int, Basis] = {}
 
     def basis(b: Basis) -> Basis:
         got = bases.get(id(b))
         if got is None:
-            got = bases[id(b)] = _dual_basis(b, formula)
+            got = bases[id(b)] = dual_basis(b, formulas)
         return got
 
     def node(d: Derivation) -> Derivation:
@@ -84,7 +84,7 @@ def dual_derivation(d: Derivation) -> Derivation:
         if rule is None:
             raise InvalidDerivation(f"unknown rule {d.rule!r}")
         j = d.concl
-        concl = Judgment(basis(j.basis), j.pol.flip(), term(j.term), formula(j.type))
+        concl = Judgment(basis(j.basis), j.pol.flip(), term(j.term), dual_formula(j.type, formulas))
         prems = dual_premises(rule.ctor, tuple(node(p) for p in d.prems))
         return Derivation(rule.dual, concl, prems)
 

@@ -13,7 +13,8 @@ its own principal typing (its type and its free variables' formulas); a
 node's scheme is that typing renamed as `typecheck.infer_principal`
 renames, with the free variables named as in the node's canonical form.
 One walk gives a node's canonical form and its text: the text keys the
-entry and is kept as its hash, and only a new entry gets a scheme.
+entry, which compares and hashes by it, and only a new entry gets a
+scheme.
 """
 
 from __future__ import annotations
@@ -116,12 +117,13 @@ def _canonical(t: Term, free: dict[tuple[str, Polarity], str]) -> tuple[Term, st
 
 @dataclass(frozen=True)
 class SenseEntry:
-    term: Term  # in canonical variable form
+    """Compared and hashed by (text, pol), strings: the term's text stands
+    for the term, and the scheme follows from the term."""
+
+    term: Term = field(compare=False)  # in canonical variable form
     pol: Polarity
-    scheme: TypeScheme
-    # The term's text, which stands for the term in the hash (the scheme
-    # follows from the term); printed from term where not given.
-    text: str | None = field(default=None, compare=False, repr=False)
+    scheme: TypeScheme = field(compare=False)
+    text: str | None = field(default=None, repr=False)  # printed from term where not given
 
     def __post_init__(self) -> None:
         if self.text is None:

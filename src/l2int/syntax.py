@@ -14,6 +14,10 @@ before the child it scopes.  `children` and `binders` read it, and `build`
 makes a term of any constructor; the parser, the generator and
 `duality.dual_term` build through it.  The binary connectives share one
 base class, `Connective`.
+
+Formulas keep no hash.  A JSON load makes equal formulas written alike
+one object, and `dual_formula` given a memo dualizes each object once,
+part by part, so the dual shares parts wherever its input does.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import enum
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
-from itertools import repeat
 from operator import attrgetter, itemgetter
 
 
@@ -50,50 +53,22 @@ MINUS = Polarity.MINUS
 
 
 class Formula:
-    """A formula computes its hash once and keeps it (see `_formula`).
-    Pickling and copying rebuild a formula from its fields, so the kept
-    hash, which depends on the process's string hash salt, never leaves
-    the process."""
+    """A plain frozen dataclass, recognised by identity and never hashed."""
 
     __slots__ = ()
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-
-def _formula(cls):
-    """`cls` as a frozen dataclass that computes its generated hash, the
-    hash of the tuple of its fields, once per object: formulas are hashed
-    over and over as set members and dict keys, and the generated hash
-    recurses through the whole formula.  The tuple is built without a
-    Python-level call, so a first hash nests no deeper than the generated
-    one did."""
-    cls = dataclass(frozen=True)(cls)
-    names = [f.name for f in fields(cls)]
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(map(getattr, repeat(self), names)))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_formula
+@dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
 
-@_formula
+@dataclass(frozen=True)
 class Falsum(Formula):
     pass
 
 
-@_formula
+@dataclass(frozen=True)
 class Verum(Formula):
     pass
 
@@ -106,27 +81,27 @@ class Connective(Formula):
     right: Formula
 
 
-@_formula
+@dataclass(frozen=True)
 class And(Connective):
     pass
 
 
-@_formula
+@dataclass(frozen=True)
 class Or(Connective):
     pass
 
 
-@_formula
+@dataclass(frozen=True)
 class Imp(Connective):
     pass
 
 
-@_formula
+@dataclass(frozen=True)
 class CoImp(Connective):
     """b -< a: something that proves b while refuting a."""
 
 
-@_formula
+@dataclass(frozen=True)
 class MetaVar(Formula):
     """Placeholder used by type inference; never produced by the parser."""
 
@@ -160,19 +135,30 @@ def is_ground(f: Formula) -> bool:
 _DUAL_FORMULA = {Verum: Falsum, Falsum: Verum, And: Or, Or: And, Imp: CoImp, CoImp: Imp}
 
 
-def dual_formula(f: Formula) -> Formula:
+def dual_formula(f: Formula, memo: dict[int, Formula] | None = None) -> Formula:
     """The dual formula: top and bot swap, conjunction and disjunction swap,
-    and the two arrows swap with their sides reversed."""
-    if isinstance(f, (Atom, MetaVar)):
-        return f
+    and the two arrows swap with their sides reversed.  memo, where given,
+    maps the id of each formula object dualized so far to its dual, and
+    gets the dual of every part of f: a caller dualizing formulas that
+    share parts dualizes each object once, and the duals share those parts
+    too.  The objects must outlive memo."""
+    memo = {} if memo is None else memo
+    d = memo.get(id(f))
+    if d is not None:
+        return d
     dual = _DUAL_FORMULA.get(type(f))
-    if dual is None:
+    if isinstance(f, (Atom, MetaVar)):
+        d = f
+    elif dual is None:
         raise TypeError(f"not a formula: {f!r}")
-    if not isinstance(f, Connective):
-        return dual()
-    if isinstance(f, (Imp, CoImp)):
-        return dual(dual_formula(f.right), dual_formula(f.left))
-    return dual(dual_formula(f.left), dual_formula(f.right))
+    elif not isinstance(f, Connective):
+        d = dual()
+    elif isinstance(f, (Imp, CoImp)):
+        d = dual(dual_formula(f.right, memo), dual_formula(f.left, memo))
+    else:
+        d = dual(dual_formula(f.left, memo), dual_formula(f.right, memo))
+    memo[id(f)] = d
+    return d
 
 
 # ------------------------------------------------------------------- terms
@@ -513,24 +499,6 @@ def alpha_key(t: Term):
     return go(t, 0)
 
 
-# ------------------------------------------------------------------ memos
-
-
-def _once(fn):
-    """`fn` computed once per distinct argument for as long as the returned
-    function lives; `fn` must not return None.  A JSON load or dump and a
-    dualization each make their own, so nothing is kept after the call."""
-    seen = {}
-
-    def get(key):
-        value = seen.get(key)
-        if value is None:
-            value = seen[key] = fn(key)
-        return value
-
-    return get
-
-
 # ------------------------------------------------------------------- bases
 
 
@@ -565,16 +533,6 @@ class Basis:
         j = i + 1 if i < len(side) and side[i][0] == name else i
         new = (*side[:i], (name, formula), *side[j:])
         return Basis(new, self.delta) if pol is PLUS else Basis(self.gamma, new)
-
-    def merge(self, other: "Basis") -> "Basis":
-        g = dict(self.gamma)
-        g.update(other.gamma)
-        d = dict(self.delta)
-        d.update(other.delta)
-        return Basis(tuple(sorted(g.items())), tuple(sorted(d.items())))
-
-    def is_sub(self, other: "Basis") -> bool:
-        return set(self.gamma) <= set(other.gamma) and set(self.delta) <= set(other.delta)
 
     def names(self) -> set[str]:
         return {n for n, _ in self.gamma} | {n for n, _ in self.delta}

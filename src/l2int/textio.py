@@ -15,7 +15,9 @@ and a premise whose term string is its parent's subterm gets that subterm
 object without a parse.  Formulas are shared by span: a formula parse
 records the exact text of every subformula it makes, and a later string
 with that text gets that object without a parse, so equal formulas written
-alike are one object.  Each distinct basis is made once per load.  A dump
+alike are one object.  Formulas keep no hash: the load's memos are keyed
+by text, and `duality.dual_derivation` dualizes each formula object once,
+part by part.  Each distinct basis is made once per load.  A dump
 writes the JSON text itself, byte for byte what `json.dumps` makes of the
 tree, and prints each formula object and each term object once: a
 premise's term is its parent's subterm, so its text is known by then.
@@ -26,7 +28,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
@@ -61,7 +62,6 @@ from .syntax import (
     Var,
     Verum,
     _UNBOUND,
-    _once,
     binders,
     build,
     children,
@@ -483,7 +483,7 @@ def derivation_to_json(d: Derivation, indent: int | None = 2) -> str:
     Each string is escaped by the encoder `json.dumps` uses, and each
     formula object and each term object is printed once: a premise's term
     is its parent's subterm, so its text is already known.  Both memos are
-    keyed by id, as hashing a deep formula takes two frames per level."""
+    keyed by id, as formulas keep no hash."""
     quote = encode_basestring_ascii
     formulas: dict[int, str] = {}
     terms: dict[int, str] = {}
@@ -566,8 +566,8 @@ def derivation_from_obj(obj) -> Derivation:
     root, and every premise's term is its parent's subterm.  Each distinct
     basis, by its gamma and delta entries as given, is made once."""
     formulas: dict[str, Formula] = {}  # by text: every string parsed and its subformulas' texts
+    terms: dict[str, Term] = {}  # by text: every term string parsed
     spans: dict[int, SourceSpan] = {}  # every parsed subterm's place in its source
-    term = _once(partial(_parse_term, spans=spans))
     bases: dict[tuple, Basis] = {}
 
     def formula(src: str) -> Formula:
@@ -584,7 +584,10 @@ def derivation_from_obj(obj) -> Derivation:
                 span = spans[id(child)]
                 if span.end - span.start == len(src) and parent_src.startswith(src, span.start):
                     return child, parent_src
-        return term(src), src
+        t = terms.get(src)
+        if t is None:
+            t = terms[src] = _parse_term(src, spans)
+        return t, src
 
     def judgment(obj, parent: tuple[Term, str] | None) -> tuple[Judgment, str]:
         if not isinstance(obj, dict):

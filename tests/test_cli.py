@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,11 +11,14 @@ import hypothesis as hyp
 import pytest
 import hypothesis.strategies as st
 
+import l2int
 from l2int.cli import main
 from l2int.derivation import validate
 from l2int.duality import RULE_DUAL, dual_derivation
+from l2int.syntax import PLUS, Atom, Basis, Inl, Or, Var
 from l2int.testkit import GenConfig, GenerationFailed, gen_derivation
 from l2int.textio import derivation_from_json, derivation_to_json, print_formula, print_term
+from l2int.typecheck import check
 from conftest import DATA, load_worked_pair
 
 
@@ -219,6 +225,32 @@ def test_deep_chain_goes_through_every_term_command(capsys):
         code, out, _ = run(capsys, command, "-e", deep)
         assert code == 0
         assert out.count("inl") == 950
+
+
+def test_deep_derivation_goes_through_every_file_command(tmp_path):
+    # The derivation check builds for a 400-deep inl chain, run through
+    # l2i in a process of its own, whose stack is the one l2i users have
+    # (pytest's own frames would take some of the depth).  The margin is
+    # measured and tight: under Python 3.11's default recursion limit,
+    # 409 levels pass and 410 fail (ROADMAP item 10), so a few more frames
+    # per level in the load or validate path, or another interpreter's
+    # frame accounting, can fail this test without a regression elsewhere.
+    a, t, f = Atom("a"), Var("x", PLUS), Atom("a")
+    for _ in range(400):
+        t, f = Inl(t, PLUS), Or(f, a)
+    p = tmp_path / "deep.json"
+    p.write_text(derivation_to_json(check(Basis.make({"x": a}), PLUS, t, f)))
+    env = {**os.environ, "PYTHONPATH": str(Path(l2int.__file__).parents[1])}
+
+    def l2i(*argv):
+        r = subprocess.run([sys.executable, "-m", "l2int.cli", *argv], env=env, capture_output=True, text=True)
+        return r.returncode, r.stdout, r.stderr
+
+    assert l2i("check", str(p)) == (0, f"{p}: ok\n", "")
+    code, out, err = l2i("dualize", str(p))
+    assert (code, err) == (0, "height: 400 -> 400\n")
+    assert json.loads(out)["concl"]["pol"] == "-"
+    assert l2i("sense", str(p), str(p)) == (0, "synonymous\n", "")
 
 
 # ----------------------------------------------------------------- dualize

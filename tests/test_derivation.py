@@ -117,6 +117,28 @@ def test_validate_tampered_premise_basis():
     assert any("more than the conclusion allows" in v.message for v in vs)
 
 
+@pytest.mark.parametrize("extra, names", [
+    ([(PLUS, "q", "b"), (MINUS, "q", "b")], "q"),
+    ([(PLUS, "q", "b"), (MINUS, "q", "c")], "q, q"),
+    ([(MINUS, "x", "a"), (PLUS, "q", "b"), (MINUS, "q", "b")], "q, x"),
+])
+def test_validate_names_each_extra_entry_once(extra, names):
+    # The premise of \x+. x+ at a -> a assumes the entries extra besides
+    # x+ : a, which it discharges.  An entry extra on both sides is named
+    # once, as the former code, which took the union of two sets of
+    # entries, named it; x- : a is extra although x+ : a is discharged.
+    d = check(Basis(), PLUS, parse_term("(\\x+. x+)+"), parse_formula("a -> a"))
+    p = d.prems[0]
+    basis = p.concl.basis
+    for pol, name, f in extra:
+        basis = basis.extend(name, pol, parse_formula(f))
+    grown = dataclasses.replace(p, concl=dataclasses.replace(p.concl, basis=basis))
+    m = dataclasses.replace(d, prems=(grown,))
+    vs = validate(m)
+    assert [v.message for v in vs] == [f"premise 0 assumes more than the conclusion allows: {names}"]
+    assert vs == former_validate(m)
+
+
 def test_validate_dropped_assumption():
     b = Basis.make({"u": Atom("a")})
     d = check(b, PLUS, parse_term("(\\x+. x+)+"), parse_formula("b -> b"))

@@ -3,10 +3,11 @@ they shared it.
 
 A load records the text of every subformula it parses and gives a later
 string with that text the object already made, and it makes each distinct
-basis once; `dual_derivation` dualizes each basis object once.  The results
-must equal what the former code made (`former.py`), dump to the same bytes
-and have the same dual and sense, and a load must fail where the former
-load failed, with the same error.
+basis once; `dual_derivation` dualizes each formula object, part by part,
+and each basis object once.  The results must equal what the former code
+made (`former.py`), dump to the same bytes and have the same dual and
+sense, and a load must fail where the former load failed, with the same
+error.  No formula is hashed on the way.
 """
 
 import copy
@@ -15,14 +16,19 @@ import re
 
 import hypothesis as hyp
 import hypothesis.strategies as st
+import pytest
 
-from l2int.derivation import Derivation
+from l2int.derivation import RULE_TABLE, Derivation, dual_premises, height, validate
 from l2int.duality import dual_derivation
 from l2int.meaning import sense
-from l2int.syntax import Connective, Imp, Or
+from l2int.syntax import And, CoImp, Connective, Formula, Imp, Or
 from l2int.textio import derivation_from_json, derivation_from_obj, derivation_to_json, parse_formula
+from l2int.typecheck import check, infer_principal
+from conftest import DATA
 from former import former_derivation_from_obj, former_dual_derivation, former_sense
-from test_dump_and_sense import _corpus, _outcome
+from test_acceptance import REDEX_HEAVY_WEIGHTS
+from test_dump_and_sense import _corpus, _full, _outcome
+from test_typecheck import _seeded
 
 
 def _nodes(d: Derivation):
@@ -68,7 +74,7 @@ def test_load_dual_and_sense_match_former_code_on_the_corpus():
         assert dual == former_dual_derivation(loaded) == dual_derivation(d)
         assert derivation_to_json(dual) == derivation_to_json(former_dual_derivation(d))
         assert dual_derivation(dual) == loaded
-        assert sense(loaded) == former_sense(loaded)
+        assert _full(sense(loaded)) == _full(former_sense(loaded))
 
 
 def test_a_premise_type_that_is_a_slice_but_no_subformula():
@@ -166,24 +172,85 @@ def test_load_matches_former_code_on_hand_edited_json(obj):
     if isinstance(got, Derivation):
         assert derivation_to_json(got) == derivation_to_json(want)
         assert _outcome(dual_derivation, got) == _outcome(former_dual_derivation, want)
-        assert _outcome(sense, got) == _outcome(former_sense, want)
+        assert _full(_outcome(sense, got)) == _full(_outcome(former_sense, want))
 
 
 # -------------------------------------------------------------- the sharing
 
 
 def test_equal_formulas_and_bases_of_a_load_are_one_object():
-    # The dual keeps the load's bases shared; its formulas are dualized
-    # each on its own.
+    # The dual keeps the load's formulas, their parts and its bases shared.
     def one_object_each(xs):
         objects: dict = {}
         return all(objects.setdefault(x, x) is x for x in xs)
 
     for d in _corpus()[::2]:
         loaded = derivation_from_json(derivation_to_json(d))
-        assert one_object_each(_formulas(loaded))
         for shared in (loaded, dual_derivation(loaded)):
+            assert one_object_each(_formulas(shared))
             assert one_object_each(node.concl.basis for node in _nodes(shared))
+
+
+def _sides(f: Formula) -> tuple:
+    return (f.left, f.right) if isinstance(f, Connective) else ()
+
+
+def test_a_dual_premise_type_is_the_part_of_its_dual_parents_type():
+    # Where a premise's type is a side of its conclusion's type, or the
+    # other way round, the same holds in the dual, of the matching side:
+    # the dual of an arrow has its sides the other way round.
+    found = 0
+    for d in _corpus()[::2]:
+        loaded = derivation_from_json(derivation_to_json(d))
+        todo = [(loaded, dual_derivation(loaded))]
+        while todo:
+            node, dual = todo.pop()
+            prems = dual_premises(RULE_TABLE[node.rule].ctor, dual.prems)  # the input's order
+            for p, q in zip(node.prems, prems):
+                for whole, part, dual_whole, dual_part in (
+                    (node.concl.type, p.concl.type, dual.concl.type, q.concl.type),
+                    (p.concl.type, node.concl.type, q.concl.type, dual.concl.type),
+                ):
+                    for k, side in enumerate(_sides(whole)):
+                        if side is part:
+                            k = 1 - k if isinstance(whole, (Imp, CoImp)) else k
+                            assert dual_part is _sides(dual_whole)[k]
+                            found += 1
+                todo.append((p, q))
+    assert found > 1_000
+
+
+# ------------------------------------------------------------ no formula hash
+
+
+def _formula_classes(cls=Formula):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _formula_classes(sub)
+
+
+def _no_hash(f):
+    raise AssertionError(f"a {type(f).__name__} formula was hashed")
+
+
+def test_no_formula_is_hashed_from_load_to_dump(monkeypatch):
+    texts = [p.read_text() for p in sorted(DATA.glob("*.json"))]
+    texts += [derivation_to_json(d) for d in _seeded(100, {}) + _seeded(100, REDEX_HEAVY_WEIGHTS)]
+    for cls in _formula_classes():
+        monkeypatch.setattr(cls, "__hash__", _no_hash)
+    with pytest.raises(AssertionError, match="formula was hashed"):
+        hash(And(Or(parse_formula("a"), parse_formula("top")), parse_formula("b")))
+    for text in texts:
+        d = derivation_from_json(text)
+        assert validate(d) == []
+        j = d.concl
+        assert check(j.basis, j.pol, j.term, j.type).concl == j
+        infer_principal(j.term)
+        dual = dual_derivation(d)
+        assert dual_derivation(dual) == d
+        assert validate(dual) == [] and height(dual) == height(d)
+        assert sense(d) == sense(d)
+        assert derivation_from_json(derivation_to_json(dual)) == dual
 
 
 def test_a_premise_type_is_its_parents_part():
