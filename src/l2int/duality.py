@@ -85,7 +85,7 @@ def dual_derivation(d: Derivation) -> Derivation:
             raise InvalidDerivation(f"unknown rule {d.rule!r}")
         j = d.concl
         concl = Judgment(basis(j.basis), j.pol.flip(), term(j.term), dual_formula(j.type, formulas))
-        prems = dual_premises(rule.ctor, tuple(node(p) for p in d.prems))
+        prems = dual_premises(rule.ctor, tuple(map(node, d.prems)))
         return Derivation(rule.dual, concl, prems)
 
     return node(d)

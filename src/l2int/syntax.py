@@ -15,8 +15,8 @@ makes a term of any constructor; the parser, the generator and
 `duality.dual_term` build through it.  The binary connectives share one
 base class, `Connective`.
 
-Formulas keep no hash.  A JSON load makes equal formulas written alike
-one object, and `dual_formula` given a memo dualizes each object once,
+Formulas keep no hash.  A JSON load makes every equal formula one object,
+made once, and `dual_formula` given a memo dualizes each object once,
 part by part, so the dual shares parts wherever its input does.
 """
 

@@ -12,11 +12,12 @@ Derivations travel as JSON trees: {"rule", "concl", "prems"} with formulas
 and terms embedded as strings in this module's syntax.  A load parses each
 distinct string once and shares the result between the nodes that carry it,
 and a premise whose term string is its parent's subterm gets that subterm
-object without a parse.  Formulas are shared by span: a formula parse
-records the exact text of every subformula it makes, and a later string
-with that text gets that object without a parse, so equal formulas written
-alike are one object.  Formulas keep no hash: the load's memos are keyed
-by text, and `duality.dual_derivation` dualizes each formula object once,
+object without a parse.  Formulas are shared by structure: the load makes
+every formula through one dict, an atom or constant keyed by its text and
+a connective by its class and its sides' ids, so every equal formula of a
+load is one object, made once, however it is written, and no subformula
+text is recorded.  Formulas keep no hash: the load's keys are text and
+ids, and `duality.dual_derivation` dualizes each formula object once,
 part by part.  Each distinct basis is made once per load.  A dump
 writes the JSON text itself, byte for byte what `json.dumps` makes of the
 tree, and prints each formula object and each term object once: a
@@ -30,6 +31,7 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .syntax import (
     PLUS,
@@ -95,11 +97,17 @@ class PolarityError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end, self.line, self.column)
 
 
 # ----------------------------------------------------------------- grammar
@@ -174,7 +182,7 @@ def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
             continue
         for op in two_char:
             if src.startswith(op, i):
-                toks.append(_Token(op, op, SourceSpan(i, i + 2, line, col)))
+                toks.append(_Token(op, op, i, i + 2, line, col))
                 i += 2
                 col += 2
                 break
@@ -183,46 +191,29 @@ def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
                 j = i
                 while j < len(src) and (src[j].isalnum() or src[j] == "_"):
                     j += 1
-                toks.append(_Token("ident", src[i:j], SourceSpan(i, j, line, col)))
+                toks.append(_Token("ident", src[i:j], i, j, line, col))
                 col += j - i
                 i = j
             elif ch in singles:
-                toks.append(_Token(ch, ch, SourceSpan(i, i + 1, line, col)))
+                toks.append(_Token(ch, ch, i, i + 1, line, col))
                 i += 1
                 col += 1
             else:
                 raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1, line, col))
-    toks.append(_Token("eof", "", SourceSpan(len(src), len(src), line, col)))
+    toks.append(_Token("eof", "", len(src), len(src), line, col))
     return toks
 
 
-# How many characters of subformula text a formula parse may record per
-# character of its source (see `_Parser.share`).  A chain of n connectives
-# has n folds of growing text, which would take memory quadratic in n.
-_SLICE_ROOM = 8
-
-
 class _Parser:
-    """A position in the tokens of src, which end with one eof token that
+    """A position in a token list that ends with one eof token, which
     `next` never moves past, so `toks[pos]` is always a token."""
 
-    def __init__(self, tokens: list[_Token], src: str = "", slices: dict[str, Formula] | None = None):
+    def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.pos = 0
-        self.src, self.slices, self.room = src, slices, _SLICE_ROOM * len(src)
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
-
-    def share(self, f: Formula, start: int, end: int) -> Formula:
-        """f, or with slices the formula they hold under f's text, tokens
-        start to end - 1, recording f there if none; the folds nearest the
-        atoms come first, and once they fill the room no more are kept."""
-        if self.slices is None:
-            return f
-        i, j = self.toks[start].span.start, self.toks[end - 1].span.end
-        self.room -= j - i
-        return f if self.room < 0 else self.slices.setdefault(self.src[i:j], f)
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
@@ -253,68 +244,79 @@ def _too_deep(p: _Parser) -> ParseError:
     return ParseError("nested too deeply", p.peek().span)
 
 
-def parse_formula(src: str, slices: dict[str, Formula] | None = None) -> Formula:
-    """The formula src stands for.  slices, where given, gets the exact
-    text of each subformula the parse makes (see `_formula`) and keeps the
-    formula it held for a text already there, so a caller that parses
-    many strings into one dict looks a later string up there first."""
-    p = _Parser(_lex(src, *_FORMULA_TOKENS), src, slices)
+def parse_formula(src: str) -> Formula:
+    """The formula src stands for."""
+    return _shared_formula(src, {})
+
+
+def _shared_formula(src: str, made: dict) -> Formula:
+    """The formula src stands for, with every part taken from made (see
+    `_formula`) and the whole kept there under src: strings parsed into
+    one dict give one object for equal formulas, and each distinct string
+    is parsed once."""
+    f = made.get(src)
+    if f is not None:
+        return f
+    p = _Parser(_lex(src, *_FORMULA_TOKENS))
     try:
-        f = _formula(p)
+        f = _formula(p, made)
     except RecursionError as e:
         raise _too_deep(p) from e
     if p.peek().kind != "eof":
         p.fail(f"unexpected {p.peek().text!r} after formula")
+    made[src] = f
     return f
 
 
-def _formula(p: _Parser, level: int = 0) -> Formula:
+def _formula(p: _Parser, made: dict, level: int = 0) -> Formula:
     """The formula at p of at least level: operands of the next level up
     joined by this level's connective, or, at the atomic level, an atom, a
     constant or a formula in parentheses.  Each level takes one frame.  The
     next token is read off the token list: a `peek` call at each level
     costs about a tenth of a parse.
 
-    Each formula made (an atom or constant, each fold of a chain: `a | b`
-    and then `a | b | c`, `b -> c` and then `a -> b -> c`) goes through
-    `p.share` with its exact text, first token to last, which parses on
-    its own to an equal formula.  A parenthesized side's inner text is
-    shared by the parse inside the parentheses."""
+    Every formula is taken from made, which holds an atom or a constant
+    under its text and a connective under its class and the ids of its
+    sides, and made there if it is not yet: since the sides are made the
+    same way, equal formulas are one object (hash-consing).  made holds
+    the sides, so their ids stay theirs."""
     if level == _ATOMIC:
         t = p.next()
         if t.kind == "ident":
-            f = Falsum() if t.text == "bot" else Verum() if t.text == "top" else Atom(t.text)
-            return p.share(f, p.pos - 1, p.pos)
+            f = made.get(t.text)
+            if f is None:
+                f = Falsum() if t.text == "bot" else Verum() if t.text == "top" else Atom(t.text)
+                made[t.text] = f
+            return f
         if t.kind == "(":
-            f = _formula(p)
+            f = _formula(p, made)
             p.expect(")")
             return f
         found = t.text or "end of input"
         raise ParseError(f"expected a formula, found {found!r}", t.span, frozenset({"ident", "("}))
-    first = p.pos
-    f = _formula(p, level + 1)
+    f = _formula(p, made, level + 1)
     sym = p.toks[p.pos].kind
     cls, at, rightward = _BY_SYMBOL.get(sym, _NO_OP)
     if at != level:
         return f
-    parts, bounds = [f], [(first, p.pos)]  # each part's first token and the one after its last
+    parts = [f]
     while p.toks[p.pos].kind == sym:
         p.pos += 1
         if sym == "->" and p.toks[p.pos].kind == "eof":
             p.fail("expected a formula after '->'")
-        start = p.pos
-        parts.append(_formula(p, level + 1))
-        bounds.append((start, p.pos))
+        parts.append(_formula(p, made, level + 1))
         nxt = _BY_SYMBOL.get(p.toks[p.pos].kind, _NO_OP)
         if nxt[1] == level and nxt[0] is not cls:
             p.fail("cannot mix '->' and '-<' without parentheses")
     if rightward:
-        f = parts[-1]
-        for k in range(len(parts) - 2, -1, -1):
-            f = p.share(cls(parts[k], f), bounds[k][0], p.pos)
-        return f
-    for k in range(1, len(parts)):
-        f = p.share(cls(f, parts[k]), first, bounds[k][1])
+        parts.reverse()
+    f = parts[0]
+    for g in parts[1:]:
+        left, right = (g, f) if rightward else (f, g)
+        key = cls, id(left), id(right)
+        f = made.get(key)
+        if f is None:
+            f = made[key] = cls(left, right)
     return f
 
 
@@ -370,15 +372,15 @@ def _parse_term(src: str, spans: dict[int, SourceSpan]) -> Term:
     return t
 
 
+_POLARITIES = {"+": PLUS, "-": MINUS}
+
+
 def _pol(p: _Parser) -> Polarity:
-    t = p.peek()
-    if t.kind == "+":
-        p.next()
-        return PLUS
-    if t.kind == "-":
-        p.next()
-        return MINUS
-    p.fail(f"expected '+' or '-', found {t.text or 'end of input'!r}", frozenset({"+", "-"}))
+    pol = _POLARITIES.get(p.toks[p.pos].kind)
+    if pol is None:
+        p.fail(f"expected '+' or '-', found {p.peek().text or 'end of input'!r}", frozenset({"+", "-"}))
+    p.pos += 1
+    return pol
 
 
 def _binder(p: _Parser) -> tuple[str, Polarity]:
@@ -389,47 +391,43 @@ def _binder(p: _Parser) -> tuple[str, Polarity]:
 
 
 def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
+    """The term at p, recording in spans where it lies, first token to
+    last.  It takes one frame per level."""
     tok = p.peek()
-    start = tok.span
-
-    def record(t: Term) -> Term:
-        end = p.toks[p.pos - 1].span if p.pos else start
-        spans[id(t)] = SourceSpan(start.start, end.end, start.line, start.column)
-        return t
-
+    lead = _LEADS.get(tok.text)
     if tok.kind == "(" and p.toks[p.pos + 1].kind != "\\":  # grouping; eof follows any "("
-        p.next()
+        p.pos += 1
         t = _term(p, spans)
         p.expect(")")
-        return record(t)
-    lead = _LEADS.get(tok.text)
-    if lead is None:
+    elif lead is None:
         if tok.kind != "ident":
             p.fail(f"expected a term, found {tok.text or 'end of input'!r}")
-        p.next()
-        return record(Var(tok.text, _pol(p)))
-    p.next()
-    cls, pieces = lead
-    fixed = getattr(cls, "pol", None)
-    pol, parts, given = fixed, [], []
-    for piece in pieces:
-        if piece == "@":
-            parts.append(_term(p, spans))
-        elif piece == "^":
-            name, q = _binder(p)
-            parts.append(name)
-            given.append(q)
-        elif piece == "±":
-            pol = _pol(p)
-        else:
-            p.expect(piece)
-    if fixed is not None and pol is not fixed:  # p1 and p2 fix their polarity
-        raise ParseError(f"{tok.text} is always {fixed}", tok.span)
-    t = build(cls, parts, pol)
-    for q, (_, want) in zip(given, filter(None, binders(t))):
-        if q is not want:
-            raise ParseError(_BINDER_ERRORS[cls].format(given=q, want=want), tok.span)
-    return record(t)
+        p.pos += 1
+        t = Var(tok.text, _pol(p))
+    else:
+        p.pos += 1
+        cls, pieces = lead
+        fixed = getattr(cls, "pol", None)
+        pol, parts, given = fixed, [], []
+        for piece in pieces:
+            if piece == "@":
+                parts.append(_term(p, spans))
+            elif piece == "^":
+                name, q = _binder(p)
+                parts.append(name)
+                given.append(q)
+            elif piece == "±":
+                pol = _pol(p)
+            else:
+                p.expect(piece)
+        if fixed is not None and pol is not fixed:  # p1 and p2 fix their polarity
+            raise ParseError(f"{tok.text} is always {fixed}", tok.span)
+        t = build(cls, parts, pol)
+        for q, (_, want) in zip(given, filter(None, binders(t))):
+            if q is not want:
+                raise ParseError(_BINDER_ERRORS[cls].format(given=q, want=want), tok.span)
+    spans[id(t)] = SourceSpan(tok.start, p.toks[p.pos - 1].end, tok.line, tok.column)
+    return t
 
 
 def print_term(t: Term, memo: dict[int, str] | None = None) -> str:
@@ -552,66 +550,30 @@ def _is_basis(entries) -> bool:
     )
 
 
-_POLARITIES = {"+": PLUS, "-": MINUS}
-
-
 def derivation_from_obj(obj) -> Derivation:
     """The derivation a JSON object describes.  Each distinct formula or
     term string is parsed once per call and the result shared by every
-    node that carries it.  A formula string that is the exact text of a
-    subformula parsed before in the call (see `_formula`) gets that object
-    and is not parsed.  A premise whose term string is the text of one of
-    its parent term's children gets that child object, and its string is
-    not parsed at all; so a valid derivation's term is parsed once, at the
-    root, and every premise's term is its parent's subterm.  Each distinct
-    basis, by its gamma and delta entries as given, is made once."""
-    formulas: dict[str, Formula] = {}  # by text: every string parsed and its subformulas' texts
+    node that carries it.  All formulas of the call are made through one
+    dict (see `_formula`), so equal formulas, however written, are one
+    object.  A premise whose term string is the text of one of its parent
+    term's children gets that child object, and its string is not parsed
+    at all; so a valid derivation's term is parsed once, at the root, and
+    every premise's term is its parent's subterm.  Each distinct basis, by
+    its gamma and delta entries as given, is made once."""
+    formulas: dict = {}  # every formula string parsed and every formula made
     terms: dict[str, Term] = {}  # by text: every term string parsed
     spans: dict[int, SourceSpan] = {}  # every parsed subterm's place in its source
     bases: dict[tuple, Basis] = {}
 
-    def formula(src: str) -> Formula:
-        f = formulas.get(src)
-        if f is None:
-            f = formulas[src] = parse_formula(src, formulas)
-        return f
-
-    def subject(src: str, parent: tuple[Term, str] | None) -> tuple[Term, str]:
-        """The term src stands for, and the string its spans refer to."""
-        if parent is not None:
-            parent_term, parent_src = parent
-            for child in children(parent_term):
-                span = spans[id(child)]
-                if span.end - span.start == len(src) and parent_src.startswith(src, span.start):
-                    return child, parent_src
-        t = terms.get(src)
-        if t is None:
-            t = terms[src] = _parse_term(src, spans)
-        return t, src
-
-    def judgment(obj, parent: tuple[Term, str] | None) -> tuple[Judgment, str]:
-        if not isinstance(obj, dict):
-            raise DerivationFormatError("judgment must be an object")
-        for key in ("gamma", "delta"):
-            if not _is_basis(obj.get(key)):
-                raise DerivationFormatError(f"{key} must be a list of [name, formula] string pairs")
-        for key in ("pol", "term", "type"):
-            if not isinstance(obj.get(key), str):
-                raise DerivationFormatError(f"{key} must be a string")
-        key = tuple(map(tuple, obj["gamma"])), tuple(map(tuple, obj["delta"]))
-        basis = bases.get(key)
-        if basis is None:
-            gamma = {n: formula(f) for n, f in obj["gamma"]}
-            delta = {n: formula(f) for n, f in obj["delta"]}
-        pol = _POLARITIES.get(obj["pol"])
-        if pol is None:
-            raise DerivationFormatError(f"pol must be '+' or '-', not {obj['pol']!r}")
-        (t, src), typ = subject(obj["term"], parent), formula(obj["type"])
-        if basis is None:
-            if len(gamma) != len(obj["gamma"]) or len(delta) != len(obj["delta"]):
-                raise DerivationFormatError("duplicate assumption name in basis")
-            basis = bases[key] = Basis.make(gamma, delta)
-        return Judgment(basis, pol, t, typ), src
+    def child(src: str, parent: tuple[Term, str]) -> tuple[Term, str] | None:
+        """The child of parent's term whose text src is, with the string
+        its spans refer to, if there is one."""
+        parent_term, parent_src = parent
+        for t in children(parent_term):
+            span = spans[id(t)]
+            if span.end - span.start == len(src) and parent_src.startswith(src, span.start):
+                return t, parent_src
+        return None
 
     def node(obj, parent: tuple[Term, str] | None = None) -> Derivation:
         if not isinstance(obj, dict):
@@ -623,9 +585,37 @@ def derivation_from_obj(obj) -> Derivation:
             raise DerivationFormatError("rule must be a string")
         if not isinstance(obj["prems"], list):
             raise DerivationFormatError("prems must be a list")
-        concl, src = judgment(obj["concl"], parent)
-        here = (concl.term, src)
-        return Derivation(obj["rule"], concl, tuple(node(p, here) for p in obj["prems"]))
+        c = obj["concl"]
+        if not isinstance(c, dict):
+            raise DerivationFormatError("judgment must be an object")
+        for key in ("gamma", "delta"):
+            if not _is_basis(c.get(key)):
+                raise DerivationFormatError(f"{key} must be a list of [name, formula] string pairs")
+        for key in ("pol", "term", "type"):
+            if not isinstance(c.get(key), str):
+                raise DerivationFormatError(f"{key} must be a string")
+        key = tuple(map(tuple, c["gamma"])), tuple(map(tuple, c["delta"]))
+        basis = bases.get(key)
+        if basis is None:
+            gamma = {n: _shared_formula(f, formulas) for n, f in c["gamma"]}
+            delta = {n: _shared_formula(f, formulas) for n, f in c["delta"]}
+        pol = _POLARITIES.get(c["pol"])
+        if pol is None:
+            raise DerivationFormatError(f"pol must be '+' or '-', not {c['pol']!r}")
+        src = c["term"]
+        here = None if parent is None else child(src, parent)
+        if here is None:  # parsed in node's own frame: a deep root term has little stack above it
+            t = terms.get(src)
+            if t is None:
+                t = terms[src] = _parse_term(src, spans)
+            here = t, src
+        typ = _shared_formula(c["type"], formulas)
+        if basis is None:
+            if len(gamma) != len(c["gamma"]) or len(delta) != len(c["delta"]):
+                raise DerivationFormatError("duplicate assumption name in basis")
+            basis = bases[key] = Basis.make(gamma, delta)
+        concl = Judgment(basis, pol, here[0], typ)
+        return Derivation(obj["rule"], concl, tuple(map(node, obj["prems"], repeat(here))))
 
     return node(obj)
 

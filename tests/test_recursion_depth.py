@@ -6,16 +6,20 @@ or case branches to within a few levels of the depth a plain recursion
 reaches (3 to 7 levels short, with Python 3.11).  A traversal that took two
 frames per level (a generator or a comprehension around the recursive
 call, or a dataclass's own hash or equality, say) would stop at about half
-of it.  The JSON dump and `sense` run on the derivation `check` builds for
-a chain, and `print_formula` on formulas nested on one side.
+of it.  The JSON dump, `sense`, `validate`, `height` and `dual_derivation`
+run on the derivation `check` builds for a chain, the JSON load on the
+object its dump reads as, and `print_formula` on formulas nested on one
+side.
 """
 
 import functools
+import json
 import sys
 
 import pytest
 
-from l2int.duality import dual_term
+from l2int.derivation import height, validate
+from l2int.duality import dual_derivation, dual_term
 from l2int.meaning import canonical_variable_form, sense
 from l2int.rewrite import find_redexes
 from l2int.syntax import (
@@ -35,7 +39,14 @@ from l2int.syntax import (
     free_vars,
     substitute,
 )
-from l2int.textio import ParseError, derivation_to_json, parse_term, print_formula, print_term
+from l2int.textio import (
+    ParseError,
+    derivation_from_obj,
+    derivation_to_json,
+    parse_term,
+    print_formula,
+    print_term,
+)
 from l2int.typecheck import check, infer_principal
 
 LIMIT = 600
@@ -103,6 +114,17 @@ def _derivation(chain: str, n: int):
     return check(CHAINS[chain][2], PLUS, _term(chain, n), _formula(chain, n))
 
 
+def _json_object(chain: str, n: int):
+    """The JSON object of chain's derivation: it nests two containers per
+    level, deeper than `json.loads` follows under the usual limit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 4 * n + 100))
+    try:
+        return json.loads(derivation_to_json(_derivation(chain, n)))
+    finally:
+        sys.setrecursionlimit(old)
+
+
 # Per traversal: what builds its input from the chain and the depth, under
 # the usual recursion limit, and a call of the traversal, which like the
 # tests before it spends one frame of its own.
@@ -119,6 +141,10 @@ TRAVERSALS = {
     "check": (lambda chain, n: (CHAINS[chain][2], PLUS, _term(chain, n), _formula(chain, n)), lambda args: check(*args)),
     "derivation_to_json": (_derivation, lambda d: derivation_to_json(d)),
     "sense": (_derivation, lambda d: sense(d)),
+    "dual_derivation": (_derivation, lambda d: dual_derivation(d)),
+    "derivation_from_obj": (_json_object, lambda obj: derivation_from_obj(obj)),
+    "validate": (_derivation, lambda d: validate(d)),
+    "height": (_derivation, lambda d: height(d)),
 }
 
 

@@ -1,10 +1,11 @@
 """What a JSON load and `dual_derivation` share, against the code before
 they shared it.
 
-A load records the text of every subformula it parses and gives a later
-string with that text the object already made, and it makes each distinct
-basis once; `dual_derivation` dualizes each formula object, part by part,
-and each basis object once.  The results must equal what the former code
+A load makes every formula through one dict keyed by an atom's text and a
+connective's class and sides, so every equal formula of the load is one
+object, made once, and it makes each distinct basis once;
+`dual_derivation` dualizes each formula object, part by part, and each
+basis object once.  The results must equal what the former code
 made (`former.py`), dump to the same bytes and have the same dual and
 sense, and a load must fail where the former load failed, with the same
 error.  No formula is hashed on the way.
@@ -189,6 +190,27 @@ def test_equal_formulas_and_bases_of_a_load_are_one_object():
         for shared in (loaded, dual_derivation(loaded)):
             assert one_object_each(_formulas(shared))
             assert one_object_each(node.concl.basis for node in _nodes(shared))
+
+
+def test_a_long_chains_left_part_is_the_premises_type():
+    # The folds of a 40-atom chain hold about twenty times its text, so a
+    # load that kept each fold's text up to a bound lost the last folds.
+    chain = " | ".join(f"a{i}" for i in range(40))
+    left = chain.rsplit(" | ", 1)[0]
+    concl = {"gamma": [["x", left]], "delta": [], "pol": "+", "term": "x+", "type": left}
+    prem = {"rule": "Hyp+", "concl": concl, "prems": []}
+    d = _same_as_former(json.dumps({"rule": "OrI1", "concl": {**concl, "term": "inl+(x+)", "type": chain},
+                                    "prems": [prem]}))
+    assert validate(d) == []
+    (p,) = d.prems
+    assert p.concl.type is d.concl.type.left is p.concl.basis.gamma[0][1]
+
+
+def test_one_formula_written_two_ways_is_one_object():
+    concl = {"gamma": [["x", "((a) | (b))"], ["y", "a | b"]], "delta": [], "pol": "+", "term": "y+", "type": "a | b"}
+    d = _same_as_former(json.dumps({"rule": "Hyp+", "concl": concl, "prems": []}))
+    (_, first), (_, second) = d.concl.basis.gamma
+    assert first is second is d.concl.type
 
 
 def _sides(f: Formula) -> tuple:

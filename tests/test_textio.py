@@ -472,11 +472,10 @@ def test_derivation_json_load_memory_is_linear():
 
 
 def test_derivation_json_load_memory_is_linear_in_a_formula_chain():
-    # The load records each subformula's text, and each fold of a chain is
-    # text of its own: all of them would take 43 MB at 3,000 atoms, four
-    # times as much as at 1,500 and 800 times the text.  The load records
-    # up to 8 times the text, and most of its peak is the tokens (about 50
-    # times the text before it recorded any).
+    # Each fold of a chain is text of its own: recording the text of all
+    # of them would take 43 MB at 3,000 atoms, four times as much as at
+    # 1,500 and 800 times the text.  The load keeps one object and one key
+    # per fold, and most of its peak is the tokens.
     def load(sym, n):
         chain = f" {sym} ".join(f"a{i}" for i in range(n))
         concl = {"gamma": [["x", chain]], "delta": [], "pol": "+", "term": "x+", "type": chain}
