@@ -66,16 +66,6 @@ from .syntax import (
     metavars_of,
 )
 
-RULES = (
-    "Hyp+", "Hyp-",
-    "TopI", "TopE_d", "BotI_d", "BotE",
-    "AndI", "AndE1", "AndE2", "AndI_d1", "AndI_d2", "AndE_d",
-    "OrI1", "OrI2", "OrE", "OrI_d", "OrE_d1", "OrE_d2",
-    "ImpI", "ImpE", "ImpI_d", "ImpE_d1", "ImpE_d2",
-    "CoImpI", "CoImpE1", "CoImpE2", "CoImpI_d", "CoImpE_d",
-)
-
-
 @dataclass(frozen=True)
 class Judgment:
     basis: Basis
@@ -187,6 +177,7 @@ def _dual_rule(r: Rule) -> Rule:
 
 
 RULE_TABLE: dict[str, Rule] = {r.name: r for p in _PRIMAL for r in (p, _dual_rule(p))}
+RULES = tuple(RULE_TABLE)
 
 # Each constructor's rules: the one selected by +, then the one by -.
 _BY_CTOR: dict[type, list[Rule | None]] = {}
@@ -309,15 +300,16 @@ def validate(d: Derivation) -> list[RuleViolation]:
     out: list[RuleViolation] = []
     for v in check_polarities(d.concl.term):
         out.append(RuleViolation((), f"end term ill-polarized: {v.message}"))
-    _validate(d, (), out)
+    _validate(d, [], out)
     return out
 
 
-def _validate(d: Derivation, path: tuple[int, ...], out: list[RuleViolation]) -> None:
-    """Checks d's node against its row.  It does not descend when the node
-    does not fit the row's shape, or when a premise's formula leaves a
-    variable open that a later premise needs."""
-    bad = lambda msg: out.append(RuleViolation(path, msg))
+def _validate(d: Derivation, path: list[int], out: list[RuleViolation]) -> None:
+    """Checks d's node, at path, against its row.  It does not descend when
+    the node does not fit the row's shape, or when a premise's formula
+    leaves a variable open that a later premise needs.  The path is one
+    list for the walk, made a tuple only for a violation."""
+    bad = lambda msg: out.append(RuleViolation(tuple(path), msg))
     j, t = d.concl, d.concl.term
     rule = RULE_TABLE.get(d.rule)
     if rule is None:
@@ -353,7 +345,9 @@ def _validate(d: Derivation, path: tuple[int, ...], out: list[RuleViolation]) ->
         if not matched and any(not q.variables <= env.keys() for q in rule.prems[i + 1:]):
             return
     for i, p in enumerate(d.prems):
-        _validate(p, path + (i,), out)
+        path.append(i)
+        _validate(p, path, out)
+        path.pop()
 
 
 def _show(f: Formula) -> str:

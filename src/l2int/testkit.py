@@ -67,37 +67,23 @@ class GenConfig:
             raise ValueError("max_height must be at least 0")
 
 
+# In the order in which go() offers the rules that fit a goal; a seed's
+# derivation depends on it.
 DEFAULT_WEIGHTS = {
-    "Hyp+": 3.0, "Hyp-": 3.0,
-    "TopI": 0.4, "BotI_d": 0.4,
-    "BotE": 0.25, "TopE_d": 0.25,
-    "AndI": 1.0, "OrI_d": 1.0,
-    "AndE1": 0.7, "AndE2": 0.7, "OrE_d1": 0.7, "OrE_d2": 0.7,
-    "OrI1": 0.8, "OrI2": 0.8, "AndI_d1": 0.8, "AndI_d2": 0.8,
-    "ImpI": 1.2, "CoImpI_d": 1.2,
-    "ImpE": 0.9, "CoImpE_d": 0.9,
-    "ImpI_d": 1.0, "CoImpI": 1.0,
-    "ImpE_d1": 0.6, "ImpE_d2": 0.6, "CoImpE1": 0.6, "CoImpE2": 0.6,
+    "Hyp+": 3.0, "Hyp-": 3.0, "BotE": 0.25, "TopE_d": 0.25,
+    "AndE1": 0.7, "AndE2": 0.7, "ImpE": 0.9, "ImpE_d1": 0.6, "CoImpE1": 0.6,
+    "OrE_d1": 0.7, "OrE_d2": 0.7, "CoImpE_d": 0.9, "ImpE_d2": 0.6, "CoImpE2": 0.6,
     "OrE": 0.7, "AndE_d": 0.7,
+    "TopI": 0.4, "AndI": 1.0, "OrI1": 0.8, "OrI2": 0.8, "ImpI": 1.2, "CoImpI": 1.0,
+    "BotI_d": 0.4, "OrI_d": 1.0, "AndI_d1": 0.8, "AndI_d2": 0.8, "ImpI_d": 1.0, "CoImpI_d": 1.2,
+}
+_OFFERS = {
+    pol: tuple(RULE_TABLE[n] for n in DEFAULT_WEIGHTS if RULE_TABLE[n].pol in (pol, None))
+    for pol in (PLUS, MINUS)
 }
 
 _MAX_NODES = 4000
 _ATTEMPTS = 8
-
-# The order in which go() offers the rules that fit a goal; a seed's
-# derivation depends on it.
-_OFFER_ORDER = (
-    "Hyp+", "Hyp-", "BotE", "TopE_d",
-    "AndE1", "AndE2", "ImpE", "ImpE_d1", "CoImpE1",
-    "OrE_d1", "OrE_d2", "CoImpE_d", "ImpE_d2", "CoImpE2",
-    "OrE", "AndE_d",
-    "TopI", "AndI", "OrI1", "OrI2", "ImpI", "CoImpI",
-    "BotI_d", "OrI_d", "AndI_d1", "AndI_d2", "ImpI_d", "CoImpI_d",
-)
-_OFFERS = {
-    pol: tuple(RULE_TABLE[n] for n in _OFFER_ORDER if RULE_TABLE[n].pol in (pol, None))
-    for pol in (PLUS, MINUS)
-}
 
 
 class _Gen:

@@ -17,11 +17,13 @@ variable reads its formula from the basis, an introduction checked
 against a known connective splits it, and an elimination synthesizes its
 head.  A metavariable is made only where neither way gives a formula (an
 abort, an injection or a lambda whose formula is not pushed down), and
-the pass builds each derivation node as it returns.  When it made none,
-the tree is final; otherwise one resolving walk pins the metavariables
-still open to top and rebuilds only the nodes that hold one.  A failure
-replays the walker above, seeded with the basis, so every error keeps
-its text and path.
+the pass builds each derivation node, over the input's own subterms (it
+builds no term).  If it made no metavariable and no binder shadows a
+basis entry, the tree is final; otherwise one resolving walk pins the
+metavariables still open to top, alone renames a shadowing binder once
+its formula is resolved, and rebuilds only the nodes that hold either.
+A failure replays the walker above, seeded with the basis, so every
+error keeps its text and path.
 """
 
 from __future__ import annotations
@@ -320,9 +322,10 @@ def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
     used.  Binders that would shadow a basis name at a different formula
     are renamed, so the end term is alpha-equal to t, and t itself when no
     binder is renamed.  One pass (`_Checker.go`) checks polarities, types
-    and scoping and builds each node as it returns; a metavariable the
-    constraints leave open becomes top.  On a failure `_replay` runs the
-    typing walk seeded with the basis and raises its error.
+    and scoping and builds each node over t's own subterms; `resolve`
+    pins a metavariable left open to top and renames shadowing binders.
+    On a failure `_replay` runs the typing walk seeded with the basis and
+    raises its error.
     """
     inputs_closed = all(map(is_ground, (a, *(f for _, f in basis.gamma + basis.delta))))
     c = _Checker(inputs_closed)
@@ -334,7 +337,7 @@ def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
         d = None
     if d is None:
         _replay(basis, pol, t, a)
-    if c.count == 0 and inputs_closed:
+    if c.count == 0 and c.shadows == 0 and inputs_closed:
         return d
     return c.resolve(d, basis)
 
@@ -357,12 +360,14 @@ _GUESSES = frozenset(
 
 class _Checker:
     """One run of check: the substitution, the metavariables made so far
-    (`count`), the nodes whose subtree made one (`made`, by id) and the
-    resolved formulas."""
+    (`count`, which names them), the binders checked under a basis that
+    holds their name at another formula (`shadows`), the nodes whose
+    subtree made either (`made`, by id) and the resolved formulas."""
 
     def __init__(self, inputs_closed: bool):
         self.subst = Substitution()
         self.count = 0
+        self.shadows = 0
         self.made: set[int] = set()
         # With a metavariable in the basis or the target, no subtree is
         # known to be closed, so the resolving walk visits every node.
@@ -373,8 +378,6 @@ class _Checker:
         self.solved_var: dict[str, Formula] = {}
         self.solved_obj: dict[int, Formula] = {}
         self.kept: list[Derivation] = []
-        # the term each term the pass rebuilt (renaming a binder) stands for
-        self.source: dict[int, Term] = {}
 
     def fresh(self) -> MetaVar:
         self.count += 1
@@ -387,7 +390,9 @@ class _Checker:
         premise whose pattern is known is checked against it, any other is
         synthesized and its formula split along the pattern.  A
         metavariable is made only for a pattern variable that neither
-        fixes.  Raises _Fail or UnifyError when t has no typing here."""
+        fixes.  A binder's child is checked under basis assuming the
+        binder at its formula, never renamed: `resolve` does that.  Raises
+        _Fail or UnifyError when t has no typing here."""
         if type(t) is Var:
             ty = basis.lookup(t.name, t.pol)
             if ty is None:
@@ -395,7 +400,7 @@ class _Checker:
             if want is not None and want is not ty:
                 _unify(ty, want, self.subst)
             return Derivation(rule_of(t).name, Judgment(basis, t.pol, t, ty))
-        start = self.count
+        start, shadows = self.count, self.shadows
         rule = rule_of(t)
         env: dict[str, Formula] = {}
         open_want = None
@@ -403,7 +408,6 @@ class _Checker:
             open_want = want
         kids, scopes = children(t), binders(t)
         prems = list(kids)
-        names, changed = None, False
         order = (1, 0) if type(t) is App and type(kids[0]) in _GUESSES else range(len(kids))
         for i in order:
             p, kid, b = rule.prems[i], kids[i], scopes[i]
@@ -418,27 +422,24 @@ class _Checker:
                 known = instantiate(pat, env, self.fresh)
             inner = basis
             if b is not None:
-                x, kid, inner = self._scope(basis, b, instantiate(p.binds[1], env, self.fresh), kid)
-                if x != b[0]:
-                    names = names or [s and s[0] for s in scopes]
-                    names[i], changed = x, True
+                f = instantiate(p.binds[1], env, self.fresh)
+                held = basis.lookup(*b)
+                if held is not f:
+                    if held is not None:  # `resolve` decides on a rename
+                        self.shadows += 1
+                    inner = basis.extend(*b, f)
             d = self.go(kid, inner, known)
             if known is None and not self._split(pat, d.concl.type, env):
                 _unify(d.concl.type, instantiate(pat, env, self.fresh), self.subst)
             prems[i] = d
-            changed = changed or d.concl.term is not kids[i]
         if want is None or open_want is not None:
             ty = instantiate(rule.concl, env, self.fresh)
             if open_want is not None:
                 _unify(open_want, ty, self.subst)
         else:
             ty = want
-        if changed:
-            new = with_children(t, [d.concl.term for d in prems], names)
-            self.source[id(new)] = t
-            t = new
         d = Derivation(rule.name, Judgment(basis, t.pol, t, ty), tuple(prems))
-        if self.count != start:
+        if self.count != start or self.shadows != shadows:
             self.made.add(id(d))
         return d
 
@@ -465,26 +466,13 @@ class _Checker:
                 _unify(held, part, self.subst)
         return True
 
-    def _scope(self, basis: Basis, b: tuple[str, Polarity], f: Formula, kid: Term) -> tuple[str, Term, Basis]:
-        """The name of the variable b bound over kid, kid, and the basis
-        kid is checked under, which assumes the name at f.  b is renamed
-        where it would shadow a basis entry at another formula; where
-        either formula holds a metavariable, `resolve` decides."""
-        x, q = b
-        held = basis.lookup(x, q)
-        if held is f:
-            return x, kid, basis
-        if held is not None and is_ground(held) and is_ground(f) and held != f:
-            x, kid = rename_bound(b, kid, basis.names())
-        return x, kid, basis.extend(x, q, f)
-
     def resolve(self, d: Derivation, basis: Basis) -> Derivation:
         """d with every formula `solved`, under basis, d's own basis
-        resolved.  A subtree that made no metavariable and whose basis and
-        formula hold none is returned as it is.  A binder whose formula
-        was open in the pass is renamed here if its resolved formula
-        differs from the one basis holds for its name, and its subtree is
-        checked again."""
+        resolved.  A subtree that made no metavariable, has no shadowing
+        binder and whose basis and formula hold none is returned as it
+        is.  This is the one place a binder is renamed: where its resolved
+        formula differs from the one basis holds for its name, and its
+        subtree is then checked again."""
         j = d.concl
         ty = self.solved(j.type)
         if ty is j.type and basis is j.basis and self.inputs_closed and id(d) not in self.made:
@@ -499,7 +487,7 @@ class _Checker:
                 solved = self.solved(f)
                 held = basis.lookup(*b)
                 if held is not None and held is not solved and held != solved:
-                    x, kid = rename_bound(b, self.source.get(id(kid), kid), basis.names())
+                    x, kid = rename_bound(b, kid, basis.names())
                     inner = basis.extend(x, b[1], solved)
                     p = self.go(kid, inner, self.solved(p.concl.type))
                     self.kept.append(p)

@@ -257,6 +257,12 @@ def test_check_renames_shadowing_binder():
     d = check(b, PLUS, parse_term("(\\x+. x+)+"), parse_formula("c -> c"))
     assert validate(d) == []
     assert d.concl.term == parse_term("(\\x2+. x2+)+")
+    # two renames on one path: the inner one is decided inside the subtree
+    # that renaming the outer one checks again
+    b = Basis.make({"x": Atom("a")})
+    d = check(b, PLUS, parse_term("(\\x+. (\\x+. x+)+)+"), parse_formula("b -> c -> c"))
+    assert validate(d) == []
+    assert d.concl.term == parse_term("(\\x1+. (\\x2+. x2+)+)+")
 
 
 def test_check_renames_a_shadowing_binder_its_body_does_not_use():
