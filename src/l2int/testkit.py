@@ -191,7 +191,7 @@ def gen_derivation(cfg: GenConfig) -> Derivation:
 
 
 def gen_derivation_of(cfg: GenConfig, goal: Formula, pol: Polarity) -> Derivation:
-    """Like gen_derivation, but concluding the given formula and polarity."""
+    """Like gen_derivation, but concluding the given closed formula (no metavariable) and polarity."""
     return _generate(cfg, goal, pol)
 
 

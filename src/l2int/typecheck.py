@@ -10,20 +10,20 @@ replays the walk, seeded with the basis, to explain a failure.  With one
 it types each subterm on its own, as compositional principal typings do
 (Jim, POPL 1996), and stores it under the subterm's id for `meaning.sense`.
 
-check() is bidirectional (Pierce & Turner, "Local Type Inference", 2000;
-Dunfield & Krishnaswami, "Bidirectional Typing", 2021): one pass pushes
-the known formulas down each node's row in `derivation.RULE_TABLE`.  A
-variable reads its formula from the basis, an introduction checked
-against a known connective splits it, and an elimination synthesizes its
-head.  A metavariable is made only where neither way gives a formula (an
-abort, an injection or a lambda whose formula is not pushed down), and
-the pass builds each derivation node, over the input's own subterms (it
-builds no term).  If it made no metavariable and no binder shadows a
-basis entry, the tree is final; otherwise one resolving walk pins the
-metavariables still open to top, alone renames a shadowing binder once
-its formula is resolved, and rebuilds only the nodes that hold either.
-A failure replays the walker above, seeded with the basis, so every
-error keeps its text and path.
+check() takes a closed judgment and is bidirectional (Pierce & Turner,
+"Local Type Inference", 2000; Dunfield & Krishnaswami, "Bidirectional
+Typing", 2021): one pass pushes the known formulas down each node's row
+in `derivation.RULE_TABLE`.  A variable reads its formula from the
+basis, an introduction checked against a known connective splits it,
+and an elimination synthesizes its head.  A metavariable is made only
+where neither way gives a formula (an abort, an injection or a lambda
+whose formula is not pushed down), and the pass builds each derivation
+node over the input's own subterms.  If it made no metavariable and no
+binder shadows a basis entry at another formula, the tree is final;
+otherwise one resolving walk pins the metavariables still open to top,
+alone renames a shadowing binder once its formula is resolved, and
+rebuilds only the nodes that hold either.  A failure replays the walker
+above, seeded with the basis, so every error keeps its text and path.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def infer_typing(t: Term, out: dict[int, Typing] | None = None) -> Typing:
     With out, each subterm is typed on its own and out gets its typing
     under its id; see `_Walker`."""
     w, free = _Walker(out), {}
-    ty = w.go(t, {}, free)
+    ty = w.go(t, free)
     return w.resolved(ty, free) if out is None else out[id(t)]
 
 
@@ -251,18 +251,18 @@ class _Walker:
     def resolved(self, ty: Formula, free: dict) -> Typing:
         return self.subst.apply(ty), {v: self.subst.apply(f) for v, f in free.items()}
 
-    def go(self, t: Term, scope: dict, free: dict) -> Formula:
-        """t's formula, with scope the formulas of the variables bound above
-        it, one dict for the walk that each binder is set in around its
-        child, and free the map of its free variables."""
+    def go(self, t: Term, variables: dict) -> Formula:
+        """t's formula, with variables the formulas of its free variables:
+        one dict for the walk, in which each binder is set around its child
+        only, over any outer entry for its name."""
         if type(t) is Var:
             v = t.name, t.pol
-            ty = scope.get(v) or free.get(v)
+            ty = variables.get(v)
             if ty is None:
                 ty = self.fresh() if self.seeded is None else self.seeded.lookup(*v)
                 if ty is None:
                     raise UnboundVariable(f"{t.name}{t.pol} is not assumed in the basis")
-                free[v] = ty
+                variables[v] = ty
         else:
             rule, env, late = rule_of(t), {}, ()
             out, path, fresh = self.out, self.path, self.fresh
@@ -272,22 +272,22 @@ class _Walker:
                 want = None if deferred[i] or isinstance(pat, MetaVar) else instantiate(pat, env, fresh)
                 f = b and instantiate(p.binds[1], env, fresh)
                 if b and out is None:  # b is bound at f over the child only
-                    outer, scope[b] = scope.get(b), f
+                    outer, variables[b] = variables.get(b), f
                 path.append(i)
-                got = self.go(kids[i], scope, free if out is None else {})
+                got = self.go(kids[i], variables if out is None else {})
                 path.pop()
                 if b and out is None:
                     if outer is None:
-                        del scope[b]
+                        del variables[b]
                     else:
-                        scope[b] = outer
+                        variables[b] = outer
                 if out is not None:  # merge the child's resolved typing
                     got, kid = out[id(kids[i])]
                     if b in kid:
                         self.unify(kid[b], f)
                     for v, g in kid.items():
                         if v != b:
-                            held = free.setdefault(v, g)
+                            held = variables.setdefault(v, g)
                             if held is not g:
                                 self.unify(held, g)
                 if want is not None:
@@ -302,7 +302,7 @@ class _Walker:
                 self.unify(got, instantiate(pat, env, fresh))
             ty = instantiate(rule.concl, env, fresh)
         if self.out is not None:
-            self.out[id(t)] = self.resolved(ty, free)
+            self.out[id(t)] = self.resolved(ty, variables)
         return ty
 
 
@@ -318,28 +318,27 @@ def schemes_equal(a: TypeScheme, b: TypeScheme) -> bool:
 def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:
     """Derivation concluding (gamma; delta) =>pol t : a, or an error.
 
-    Free variables must be assumed in the basis at the polarity they are
-    used.  Binders that would shadow a basis name at a different formula
-    are renamed, so the end term is alpha-equal to t, and t itself when no
-    binder is renamed.  One pass (`_Checker.go`) checks polarities, types
-    and scoping and builds each node over t's own subterms; `resolve`
-    pins a metavariable left open to top and renames shadowing binders.
-    On a failure `_replay` runs the typing walk seeded with the basis and
-    raises its error.
+    The judgment must be closed: a metavariable in a or the basis raises
+    ValueError naming it, before any other error.  Free variables must be
+    assumed in the basis at the polarity they are used.  Binders that
+    would shadow a basis name at another formula are renamed, so the end
+    term is alpha-equal to t, and t itself when none is.  One pass
+    (`_Checker.go`) checks polarities, types and scoping and builds each
+    node over t's own subterms; `resolve` pins a metavariable left open to
+    top and renames shadowing binders.  On a failure `_replay` runs the
+    typing walk seeded with the basis and raises its error.
     """
-    inputs_closed = all(map(is_ground, (a, *(f for _, f in basis.gamma + basis.delta))))
-    c = _Checker(inputs_closed)
+    held = (a, *(f for _, f in basis.gamma + basis.delta))
+    if not all(map(is_ground, held)):
+        raise ValueError(f"check takes a closed judgment, but ?{metavars_of(*held)[0]} is a metavariable")
+    c = _Checker()
     try:
         if pol is not t.pol:
             raise _Fail
         d = c.go(t, basis, a)
     except (_Fail, UnifyError):
-        d = None
-    if d is None:
         _replay(basis, pol, t, a)
-    if c.count == 0 and c.shadows == 0 and inputs_closed:
-        return d
-    return c.resolve(d, basis)
+    return d if c.count == 0 else c.resolve(d, basis)
 
 
 class _Fail(Exception):
@@ -359,24 +358,18 @@ _GUESSES = frozenset(
 
 
 class _Checker:
-    """One run of check: the substitution, the metavariables made so far
-    (`count`, which names them), the binders checked under a basis that
-    holds their name at another formula (`shadows`), the nodes whose
-    subtree made either (`made`, by id) and the resolved formulas."""
+    """One run of check on a closed judgment: the substitution, `count` of
+    the metavariables made (which names them) and of the binders checked
+    under a basis holding their name at another formula, the nodes whose
+    subtree bumped it (`made`, by id) and the resolved formulas."""
 
-    def __init__(self, inputs_closed: bool):
+    def __init__(self):
         self.subst = Substitution()
         self.count = 0
-        self.shadows = 0
         self.made: set[int] = set()
-        # With a metavariable in the basis or the target, no subtree is
-        # known to be closed, so the resolving walk visits every node.
-        self.inputs_closed = inputs_closed
-        # resolved formulas: metavariables by name, compound formulas by id
-        # (the pass's derivations, `kept` and subst hold each of them, so no
-        # id is reused)
-        self.solved_var: dict[str, Formula] = {}
-        self.solved_obj: dict[int, Formula] = {}
+        # resolved formulas by id: each metavariable is one object, and the
+        # pass's derivations, `kept` and subst hold every key (none reused)
+        self.solved_memo: dict[int, Formula] = {}
         self.kept: list[Derivation] = []
 
     def fresh(self) -> MetaVar:
@@ -400,7 +393,7 @@ class _Checker:
             if want is not None and want is not ty:
                 _unify(ty, want, self.subst)
             return Derivation(rule_of(t).name, Judgment(basis, t.pol, t, ty))
-        start, shadows = self.count, self.shadows
+        start = self.count
         rule = rule_of(t)
         env: dict[str, Formula] = {}
         open_want = None
@@ -425,8 +418,8 @@ class _Checker:
                 f = instantiate(p.binds[1], env, self.fresh)
                 held = basis.lookup(*b)
                 if held is not f:
-                    if held is not None:  # `resolve` decides on a rename
-                        self.shadows += 1
+                    if held is not None and held != f:  # `resolve` decides on a rename
+                        self.count += 1
                     inner = basis.extend(*b, f)
             d = self.go(kid, inner, known)
             if known is None and not self._split(pat, d.concl.type, env):
@@ -439,7 +432,7 @@ class _Checker:
         else:
             ty = want
         d = Derivation(rule.name, Judgment(basis, t.pol, t, ty), tuple(prems))
-        if self.count != start or self.shadows != shadows:
+        if self.count != start:
             self.made.add(id(d))
         return d
 
@@ -468,14 +461,14 @@ class _Checker:
 
     def resolve(self, d: Derivation, basis: Basis) -> Derivation:
         """d with every formula `solved`, under basis, d's own basis
-        resolved.  A subtree that made no metavariable, has no shadowing
-        binder and whose basis and formula hold none is returned as it
-        is.  This is the one place a binder is renamed: where its resolved
-        formula differs from the one basis holds for its name, and its
-        subtree is then checked again."""
+        resolved.  The judgment is closed, so a subtree not in `made` is
+        returned as it is where its basis and formula are unchanged.  This
+        is the one place a binder is renamed: where its resolved formula
+        differs from the one basis holds for its name, and its subtree is
+        then checked again."""
         j = d.concl
         ty = self.solved(j.type)
-        if ty is j.type and basis is j.basis and self.inputs_closed and id(d) not in self.made:
+        if ty is j.type and basis is j.basis and id(d) not in self.made:
             return d
         t = j.term
         scopes = binders(t)
@@ -506,22 +499,20 @@ class _Checker:
 
     def solved(self, f: Formula) -> Formula:
         """f under the finished substitution, with any metavariable the
-        constraints left open pinned to top; memoised, so a part shared by
-        many formulas is resolved once and stays one object."""
-        if isinstance(f, MetaVar):
-            got = self.solved_var.get(f.name)
-            if got is None:
+        constraints left open pinned to top; memoised by id, so a part
+        shared by many formulas is resolved once and stays one object."""
+        if not isinstance(f, (Connective, MetaVar)):
+            return f
+        got = self.solved_memo.get(id(f))
+        if got is None:
+            if isinstance(f, MetaVar):
                 bound = self.subst.mapping.get(f.name)
-                got = self.solved_var[f.name] = Verum() if bound is None else self.solved(bound)
-            return got
-        if isinstance(f, Connective):
-            got = self.solved_obj.get(id(f))
-            if got is None:
+                got = Verum() if bound is None else self.solved(bound)
+            else:
                 a, b = self.solved(f.left), self.solved(f.right)
                 got = f if a is f.left and b is f.right else type(f)(a, b)
-                self.solved_obj[id(f)] = got
-            return got
-        return f
+            self.solved_memo[id(f)] = got
+        return got
 
 
 def _replay(basis: Basis, pol: Polarity, t: Term, a: Formula) -> NoReturn:
@@ -535,7 +526,7 @@ def _replay(basis: Basis, pol: Polarity, t: Term, a: Formula) -> NoReturn:
     if pol is not t.pol:
         raise TypeMismatch(f"term is {t.pol} but the judgment wants {pol}")
     w = _Walker(seeded=basis)
-    got = w.go(t, {}, {})
+    got = w.go(t, {})
     try:
         _unify(got, a, w.subst)
     except UnifyError as e:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 
 import hypothesis as hyp
@@ -195,6 +196,7 @@ def test_validate_memory_is_linear_in_depth():
         for _ in range(n):
             t, f = Inl(t, PLUS), Or(f, Atom("a"))
         d = check(Basis.make({"y": Atom("a")}), PLUS, t, f)
+        gc.collect()  # a full collection empties the free lists, so every allocation is traced
         tracemalloc.start()
         try:
             assert validate(d) == []

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in it.
+"""Every name a library module or a test file imports is used in it.
 
 `__init__` is left out: it imports names to export them.  A name counts as
 used where the module reads it, in code or in a quoted annotation.
@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "l2int"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "l2int"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

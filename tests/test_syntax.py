@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import os
 import pickle
@@ -459,6 +460,7 @@ def test_alpha_key_memory_is_linear_in_depth_with_distinct_binders():
         t = Var("x0", PLUS)
         for i in range(n):
             t = Lam(f"x{i}", t, PLUS)
+        gc.collect()  # a full collection empties the free lists, so every allocation is traced
         tracemalloc.start()
         try:
             alpha_key(t)
@@ -481,6 +483,7 @@ def test_check_polarities_memory_is_linear():
     term = Var("x", PLUS)
     for _ in range(889):
         term = Inl(term, PLUS)
+    gc.collect()  # a full collection empties the free lists, so every allocation is traced
     tracemalloc.start()
     try:
         violations = check_polarities(term)

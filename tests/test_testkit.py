@@ -6,12 +6,11 @@ import hypothesis.strategies as st
 import pytest
 
 from l2int.derivation import check_polarities, height, validate
-from l2int.rewrite import is_normal, normalize
+from l2int.rewrite import normalize
 from l2int.syntax import PLUS, MINUS, Atom, Connective, is_ground, term_size
 from l2int.testkit import (
     DEFAULT_WEIGHTS,
     GenConfig,
-    OracleResult,
     gen_basis,
     gen_derivation,
     gen_derivation_of,

@@ -1,5 +1,6 @@
 import functools
 import json
+import gc
 import tracemalloc
 
 import hypothesis as hyp
@@ -461,6 +462,7 @@ def test_derivation_json_load_memory_is_linear():
     concl = {"gamma": [], "delta": [], "pol": "+", "term": term, "type": "a"}
     text = json.dumps({"rule": "Hyp+", "concl": concl, "prems": []})
     assert len(text) > 190_000
+    gc.collect()  # a full collection empties the free lists, so every allocation is traced
     tracemalloc.start()
     try:
         d = derivation_from_json(text)
@@ -480,6 +482,7 @@ def test_derivation_json_load_memory_is_linear_in_a_formula_chain():
         chain = f" {sym} ".join(f"a{i}" for i in range(n))
         concl = {"gamma": [["x", chain]], "delta": [], "pol": "+", "term": "x+", "type": chain}
         text = json.dumps({"rule": "Hyp+", "concl": concl, "prems": []})
+        gc.collect()  # a full collection empties the free lists, so every allocation is traced
         tracemalloc.start()
         try:
             d = derivation_from_json(text)

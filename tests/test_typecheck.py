@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import tracemalloc
 from collections import Counter
 
@@ -57,8 +58,6 @@ from l2int.typecheck import (
 from former import former_check, former_check_polarities, former_infer_principal, former_open_metavariables
 from test_acceptance import REDEX_HEAVY_WEIGHTS
 from conftest import (
-    WORKED_FIRST_TERM,
-    WORKED_FIRST_TYPE,
     build_worked_first,
     build_worked_second,
     load_golden,
@@ -333,7 +332,7 @@ _reference_check = former_check
 
 
 def _pass_makes_metavariables(basis, pol, t, a):
-    c = _Checker(True)
+    c = _Checker()
     c.go(t, basis, a)
     return c.count > 0
 
@@ -362,6 +361,7 @@ def test_check_matches_reference_resolution(weights):
         for t in terms:
             got = check(j.basis, j.pol, t, j.type)
             assert got == _reference_check(j.basis, j.pol, t, j.type)
+            assert validate(got) == []
             # No binder is renamed here, so the term is t itself, which
             # reduce's alpha_eq test of the two finds at once.
             assert got.concl.term is t
@@ -506,21 +506,41 @@ def test_check_of_small_terms_matches_reference(args):
     assert _outcome(check, *args) == _outcome(_reference_check, *args)
 
 
-def test_check_with_metavariables_in_its_inputs_matches_reference():
-    # They take part in unification, and those left open become top.
-    compared = 0
+def test_check_rejects_metavariables_in_its_inputs():
+    # Metavariables are output-only: a judgment that holds one in its
+    # target or basis is not checked, whatever else is wrong with it.  ?m1
+    # is also the name of the first metavariable check's pass makes.
+    t = parse_term("fst+(<abort+(z-), x+>+)")
+    judgments = [
+        (Basis.make({"x": MetaVar(n)}, {"z": Verum()}), PLUS, t, Atom("a"), "?" + n) for n in ("q", "m1")
+    ]
     for d in _seeded(40, {}) + _seeded(20, REDEX_HEAVY_WEIGHTS):
         j = d.concl
-        judgments = [(j.basis, j.pol, j.term, MetaVar("T"))]
+        judgments.append((j.basis, j.pol, j.term, MetaVar("T"), "?T"))
         for n, _ in j.basis.gamma[:1]:
-            judgments.append((j.basis.extend(n, PLUS, MetaVar("G")), j.pol, j.term, j.type))
-        for args in judgments:
-            assert _outcome(check, *args) == _outcome(_reference_check, *args)
-            compared += 1
-    assert compared > 80
+            judgments.append((j.basis.extend(n, PLUS, MetaVar("G")), j.pol, j.term, j.type, "?G"))
+    for basis, pol, t, a, name in judgments:
+        for p in (pol, pol.flip()):
+            with pytest.raises(ValueError, match=rf"\{name}\b"):
+                check(basis, p, t, a)
+    assert len(judgments) > 80
 
 
 # -------------------------------------------------------------- shadowing
+
+
+def test_check_keeps_a_binder_at_an_equal_basis_formula_on_the_fast_path():
+    # The basis holds x+ at an a that is not the target's: nothing is
+    # renamed, so the pass marks no node and check takes no resolving walk.
+    basis = Basis.make({"x": Atom("a")})
+    t, a = parse_term("(\\x+. x+)+"), Imp(Atom("a"), Atom("a"))
+    assert basis.lookup("x", PLUS) is not a.left
+    c = _Checker()
+    c.go(t, basis, a)
+    assert c.made == set() and c.count == 0
+    d = check(basis, PLUS, t, a)
+    assert d == _reference_check(basis, PLUS, t, a)
+    assert d.concl.term is t and validate(d) == []
 
 
 def test_check_decides_a_rename_on_the_resolved_formula():
@@ -562,6 +582,7 @@ def test_check_memory_is_linear_in_depth():
         for _ in range(n):
             t, f = Inl(t, PLUS), Or(f, Atom("a"))
         basis = Basis.make({"y": Atom("a")})
+        gc.collect()  # a full collection empties the free lists, so every allocation is traced
         tracemalloc.start()
         try:
             d = check(basis, PLUS, t, f)
@@ -684,6 +705,7 @@ def test_inference_memory_is_linear_in_depth():
         t = Var("y", PLUS)
         for _ in range(n):
             t = Inl(t, PLUS)
+        gc.collect()  # a full collection empties the free lists, so every allocation is traced
         tracemalloc.start()
         try:
             run(t)
@@ -711,6 +733,7 @@ def test_inference_memory_is_linear_in_depth_with_distinct_binders():
         t = Var("x0", PLUS)
         for i in range(n):
             t = Lam(f"x{i}", t, PLUS)
+        gc.collect()  # a full collection empties the free lists, so every allocation is traced
         tracemalloc.start()
         try:
             run(t)
