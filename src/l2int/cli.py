@@ -9,27 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
-from .derivation import height, validate
-from .duality import dual_derivation, dual_formula, dual_term
-from .meaning import DISTINCT, SYNONYMOUS, identity_verdict, synonymy_verdict
-from .rewrite import DEFAULT_FUEL, FuelExhausted, normalize
-from .testkit import GenConfig, gen_derivation
-from .textio import (
-    DerivationFormatError,
-    ParseError,
-    PolarityError,
-    derivation_from_json,
-    derivation_to_json,
-    parse_formula,
-    parse_term,
-    print_basis,
-    print_formula,
-    print_term,
-)
-from .typecheck import TypeMismatch, UnboundVariable, Untypable, infer_principal
+# Each command imports the modules it uses, so that an `l2i` call loads
+# only those; textio brings syntax and derivation, which every command needs.
+from .textio import DerivationFormatError, ParseError, PolarityError
 
 
 def _fmt_path(path: tuple[int, ...]) -> str:
@@ -37,6 +20,10 @@ def _fmt_path(path: tuple[int, ...]) -> str:
 
 
 def _load_derivation(path: str):
+    from pathlib import Path
+
+    from .textio import derivation_from_json
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -47,6 +34,8 @@ def _load_derivation(path: str):
 def _invalid(name: str, d, header) -> bool:
     """Whether d breaks a rule; if so, "<name>: invalid" goes to header
     and each violation, indented, to stderr."""
+    from .derivation import validate
+
     violations = validate(d)
     if violations:
         print(f"{name}: invalid", file=header)
@@ -72,6 +61,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    from .textio import parse_term, print_basis, print_formula
+    from .typecheck import Untypable, infer_principal
+
     term = parse_term(args.expr)
     try:
         p = infer_principal(term)
@@ -83,8 +75,11 @@ def cmd_infer(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .rewrite import normalize
+    from .textio import parse_term, print_term
+
     term = parse_term(args.expr)
-    result = normalize(term, args.fuel)
+    result = normalize(term, _fuel(args))
     if args.trace:
         for s in result.steps:
             line = f"{s.position.detail}@{_fmt_path(s.position.path)}  {print_term(s.after)}"
@@ -97,6 +92,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_dualize(args) -> int:
+    from .derivation import height
+    from .duality import dual_derivation, dual_formula, dual_term
+    from .textio import derivation_to_json, parse_formula, parse_term, print_formula, print_term
+
     given = [x is not None for x in (args.expr, args.formula, args.file)]
     if sum(given) != 1:
         print("error: dualize needs exactly one of -e, --formula, or a file", file=sys.stderr)
@@ -117,16 +116,21 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_equal(args) -> int:
+    from .meaning import DISTINCT, identity_verdict
+    from .textio import parse_term
+
     if len(args.expr) != 2:
         print("error: equal needs exactly two -e terms", file=sys.stderr)
         return 2
     t1, t2 = (parse_term(e) for e in args.expr)
-    verdict = identity_verdict(t1, t2, args.modulo_duality, args.fuel)
+    verdict = identity_verdict(t1, t2, args.modulo_duality, _fuel(args))
     print(verdict)
     return 0 if verdict != DISTINCT else 1
 
 
 def cmd_sense(args) -> int:
+    from .meaning import SYNONYMOUS, synonymy_verdict
+
     out = []
     for name in (args.file1, args.file2):
         d = _load_derivation(name)
@@ -139,6 +143,11 @@ def cmd_sense(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from dataclasses import replace
+
+    from .testkit import GenConfig, gen_derivation
+    from .textio import derivation_to_json
+
     try:
         cfg = GenConfig(seed=args.seed, max_height=args.max_height)
     except ValueError as e:  # --max-height below 0
@@ -147,6 +156,25 @@ def cmd_gen(args) -> int:
     for i in range(args.count):
         print(derivation_to_json(gen_derivation(replace(cfg, seed=args.seed + i)), indent=None))
     return 0
+
+
+def _fuel(args) -> int:
+    """--fuel, or normalize's default when it is not given."""
+    from .rewrite import DEFAULT_FUEL
+
+    return DEFAULT_FUEL if args.fuel is None else args.fuel
+
+
+def _type_errors() -> tuple[type[Exception], ...]:
+    from .typecheck import TypeMismatch, UnboundVariable, Untypable
+
+    return Untypable, TypeMismatch, UnboundVariable
+
+
+def _fuel_exhausted() -> type[Exception]:
+    from .rewrite import FuelExhausted
+
+    return FuelExhausted
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="reduce a term to normal form")
     p.add_argument("-e", dest="expr", required=True)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=int)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(run=cmd_normalize)
 
@@ -179,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equal", help="compare the normal forms of two terms")
     p.add_argument("-e", dest="expr", action="append", default=[])
     p.add_argument("--modulo-duality", action="store_true")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=int)
     p.set_defaults(run=cmd_equal)
 
     p = sub.add_parser("sense", help="compare what two derivation files express")
@@ -199,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for option in ("fuel", "count"):
-        if getattr(args, option, 0) < 0:
+        if (getattr(args, option, None) or 0) < 0:
             print(f"error: --{option} must be at least 0", file=sys.stderr)
             return 2
     try:
@@ -214,17 +242,19 @@ def main(argv=None) -> int:
     except (DerivationFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (Untypable, TypeMismatch, UnboundVariable) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FuelExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except RecursionError:
         # Input that parses can still be too deep for the printers and the
         # recursive traversals behind a command.
         print("error: nested too deeply", file=sys.stderr)
         return 2
+    # An except clause's classes are looked up only when an exception
+    # reaches it, so these import their modules only then.
+    except _type_errors() as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except _fuel_exhausted() as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -368,6 +368,8 @@ def _check_basis(i: int, pb: Basis, cb: Basis, discharged, bad) -> None:
         if held is not None and held != formula:
             bad(f"premise {i} discharges {name}{pol} already assumed at another formula")
             return
+        if pb == cb.extend(name, pol, formula):  # the common case, in time linear in the basis
+            return
         allowed = pol, (name, formula)
     extra = []  # each entry once, however many sides hold it
     for pol in (PLUS, MINUS):

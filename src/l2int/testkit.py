@@ -36,6 +36,7 @@ from .syntax import (
     Verum,
     alpha_key,
     build,
+    metavars_of,
 )
 from .typecheck import Substitution, UnifyError, _unify, check
 
@@ -191,7 +192,12 @@ def gen_derivation(cfg: GenConfig) -> Derivation:
 
 
 def gen_derivation_of(cfg: GenConfig, goal: Formula, pol: Polarity) -> Derivation:
-    """Like gen_derivation, but concluding the given closed formula (no metavariable) and polarity."""
+    """Like gen_derivation, but concluding the given closed formula (no
+    metavariable) and polarity.  An open goal raises ValueError naming its
+    first metavariable."""
+    held = metavars_of(goal)
+    if held:
+        raise ValueError(f"gen_derivation_of takes a closed goal, but ?{held[0]} is a metavariable")
     return _generate(cfg, goal, pol)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from l2int.derivation import check_polarities, height, validate
 from l2int.rewrite import normalize
-from l2int.syntax import PLUS, MINUS, Atom, Connective, is_ground, term_size
+from l2int.syntax import PLUS, MINUS, Atom, Connective, Imp, MetaVar, is_ground, term_size
 from l2int.testkit import (
     DEFAULT_WEIGHTS,
     GenConfig,
@@ -77,6 +77,15 @@ def test_gen_derivation_of_hits_the_goal():
     e = gen_derivation_of(GenConfig(seed=2, max_height=4), parse_formula("a & b"), MINUS)
     assert e.concl.type == parse_formula("a & b")
     assert e.concl.pol is MINUS
+
+
+def test_gen_derivation_of_rejects_an_open_goal():
+    # Before the check, seeds 0 and 1 raised GenerationFailed on this goal
+    # and seed 2 returned a derivation of a -> a.
+    goal = Imp(MetaVar("X"), MetaVar("X"))
+    for seed in range(3):
+        with pytest.raises(ValueError, match=r"\?X is a metavariable"):
+            gen_derivation_of(GenConfig(seed=seed), goal, PLUS)
 
 
 def test_rule_weights_steer_generation():
