@@ -33,6 +33,7 @@ from .syntax import (
     alpha_eq,
     binders,
     children,
+    restore,
     with_children,
 )
 from .textio import _format_term, print_term
@@ -103,10 +104,7 @@ def _canonical(t: Term, free: dict[tuple[str, Polarity], str]) -> tuple[Term, st
                 outer, bound[b] = bound.get(b), x
                 k, s = go(c)
                 names.append(x)
-                if outer is None:
-                    del bound[b]
-                else:
-                    bound[b] = outer
+                restore(bound, b, outer)
             new.append(k)
             texts.append(s)
         k = with_children(t, new, names)

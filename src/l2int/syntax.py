@@ -342,6 +342,15 @@ def binders(t: Term) -> tuple[tuple[str, Polarity] | None, ...]:
     return _UNBOUND[cls]
 
 
+def restore(scope: dict, binder, outer) -> None:
+    """Undo `outer, scope[binder] = scope.get(binder), ...` after the child
+    the binder scopes: the entry goes back to outer, or away if it is None."""
+    if outer is None:
+        del scope[binder]
+    else:
+        scope[binder] = outer
+
+
 def build(cls: type, parts: Sequence, pol: Polarity) -> Term:
     """The term of constructor cls with the fields parts, in order: its
     children, each binder name just before the child it scopes, and a
@@ -490,10 +499,7 @@ def alpha_key(t: Term):
                 continue
             outer, env[b] = env.get(b), depth
             key.append(go(c, depth + 1))
-            if outer is None:
-                del env[b]
-            else:
-                env[b] = outer
+            restore(env, b, outer)
         return tuple(key)
 
     return go(t, 0)

@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from .derivation import RULE_TABLE, RULES, Derivation, Rule, instantiate
 from .rewrite import find_redexes, step
@@ -38,6 +39,7 @@ from .syntax import (
     build,
     metavars_of,
 )
+from .textio import ParseError, parse_formula
 from .typecheck import Substitution, UnifyError, _unify, check
 
 
@@ -64,8 +66,20 @@ class GenConfig:
                 raise ValueError(f"the weight of {name} must be finite and not negative")
         if not self.atom_pool:
             raise ValueError("atom_pool must not be empty")
+        for name in self.atom_pool:
+            if not _reads_back(name):
+                raise ValueError(f"atom_pool name {name!r} does not read back as that atom")
         if self.max_height < 0:
             raise ValueError("max_height must be at least 0")
+
+
+@cache  # a caller may make a GenConfig for every seed it draws
+def _reads_back(name: str) -> bool:
+    """Whether the formula syntax reads name back as the atom of that name."""
+    try:
+        return parse_formula(name) == Atom(name)
+    except ParseError:
+        return False
 
 
 # In the order in which go() offers the rules that fit a goal; a seed's

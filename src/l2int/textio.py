@@ -5,8 +5,10 @@ mixed without parentheses (-> associates right, -< left), then |, then &.
 Term syntax is fully parenthesized by constructor, so terms round-trip
 exactly; neither printer ever renames a variable.  Two tables state the
 syntax once: `_INFIX` each connective's symbol, level and grouping, and
-`_SYNTAX` each term constructor's template.  The parsers, the printers and
-the lexers' token sets are read off them.
+`_SYNTAX` each term constructor's template.  The parsers and the printers
+are read off them, and so is each lexer: one regular expression, read with
+`finditer`.  Tokens and parsed subterms keep offsets into the source; a
+line and column are worked out only for an error's `SourceSpan`.
 
 Derivations travel as JSON trees: {"rule", "concl", "prems"} with formulas
 and terms embedded as strings in this module's syntax.  A load parses each
@@ -97,17 +99,17 @@ class PolarityError(Exception):
         self.span = span
 
 
+def _span(src: str, start: int, end: int) -> SourceSpan:
+    """The span of src from start to end.  Its line is the number of
+    newlines before start, and its column the code points since the last."""
+    return SourceSpan(start, end, src.count("\n", 0, start), start - src.rfind("\n", 0, start) - 1)
+
+
 class _Token(NamedTuple):
     kind: str
     text: str
     start: int
     end: int
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end, self.line, self.column)
 
 
 # ----------------------------------------------------------------- grammar
@@ -156,61 +158,51 @@ _BINDER_ERRORS = {
     Lam: "lambda binder is {given} but the lambda is {want}",
     Case: "case binders must match the scrutinee's polarity ({want})",
 }
-# The lexers' two-character and one-character tokens.
-_FORMULA_TOKENS = (
-    tuple(s for s in _BY_SYMBOL if len(s) == 2),
-    "()" + "".join(s for s in _BY_SYMBOL if len(s) == 1),
-)
-_TERM_TOKENS = (), "".join(
-    sorted({c for ps in _PIECES.values() for c in ps if not c.isalnum()} - {"@", "^", "±"} | {"+", "-"})
-)
 
 
-def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, line, col = 0, 0, 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 0
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        for op in two_char:
-            if src.startswith(op, i):
-                toks.append(_Token(op, op, i, i + 2, line, col))
-                i += 2
-                col += 2
-                break
+def _lexer(ops) -> re.Pattern:
+    """The lexer for a syntax whose symbols are ops: a match is a symbol
+    (group 1, longest first), a word (2) or any other character (3), and
+    `finditer` skips the whitespace between.  In `re`, `\\w` is exactly
+    `str.isalnum()` or `_`, and `\\S` exactly not `str.isspace()`."""
+    symbols = "|".join(map(re.escape, sorted(ops, key=len, reverse=True)))
+    return re.compile(rf"({symbols})|(\w+)|(\S)")
+
+
+_FORMULA_TOKENS = _lexer([*_BY_SYMBOL, "(", ")"])
+_TERM_TOKENS = _lexer({c for ps in _PIECES.values() for c in ps if not c.isalnum()} - {"@", "^", "±"} | {"+", "-"})
+
+
+def _lex(src: str, lexer: re.Pattern) -> list[_Token]:
+    """src's tokens, then an eof token.  A word is an identifier if it
+    starts with a lowercase letter; any other word, or a character that
+    is no symbol, is an error."""
+    toks = []
+    for m in lexer.finditer(src):
+        group, text, start = m.lastindex, m.group(), m.start()
+        if group == 1:
+            toks.append(_Token(text, text, start, m.end()))
+        elif group == 2 and text[0].islower() and text[0].isalpha():
+            toks.append(_Token("ident", text, start, m.end()))
         else:
-            if ch.islower() and ch.isalpha():
-                j = i
-                while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                toks.append(_Token("ident", src[i:j], i, j, line, col))
-                col += j - i
-                i = j
-            elif ch in singles:
-                toks.append(_Token(ch, ch, i, i + 1, line, col))
-                i += 1
-                col += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1, line, col))
-    toks.append(_Token("eof", "", len(src), len(src), line, col))
+            raise ParseError(f"unexpected character {text[0]!r}", _span(src, start, start + 1))
+    toks.append(_Token("eof", "", len(src), len(src)))
     return toks
 
 
 class _Parser:
-    """A position in a token list that ends with one eof token, which
-    `next` never moves past, so `toks[pos]` is always a token."""
+    """A position in src's tokens, which end with one eof token that `next`
+    never moves past, so `toks[pos]` is always a token."""
 
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, src: str, tokens: list[_Token]):
+        self.src = src
         self.toks = tokens
         self.pos = 0
+
+    def error(self, message: str, tok: _Token | None = None, expected: frozenset[str] = frozenset()) -> ParseError:
+        """A ParseError at tok, by default the current token."""
+        t = self.toks[self.pos] if tok is None else tok
+        return ParseError(message, _span(self.src, t.start, t.end), expected)
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -224,24 +216,11 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {t.text or 'end of input'!r}",
-                t.span,
-                frozenset({kind}),
-            )
+            raise self.error(f"expected {kind!r}, found {t.text or 'end of input'!r}", t, frozenset({kind}))
         return self.next()
-
-    def fail(self, message: str, expected: frozenset[str] = frozenset()):
-        raise ParseError(message, self.peek().span, expected)
 
 
 # ---------------------------------------------------------------- formulas
-
-
-def _too_deep(p: _Parser) -> ParseError:
-    """What a parse reports when the input nests deeper than Python's
-    recursion limit lets the recursive descent follow."""
-    return ParseError("nested too deeply", p.peek().span)
 
 
 def parse_formula(src: str) -> Formula:
@@ -257,13 +236,13 @@ def _shared_formula(src: str, made: dict) -> Formula:
     f = made.get(src)
     if f is not None:
         return f
-    p = _Parser(_lex(src, *_FORMULA_TOKENS))
+    p = _Parser(src, _lex(src, _FORMULA_TOKENS))
     try:
         f = _formula(p, made)
     except RecursionError as e:
-        raise _too_deep(p) from e
+        raise p.error("nested too deeply") from e
     if p.peek().kind != "eof":
-        p.fail(f"unexpected {p.peek().text!r} after formula")
+        raise p.error(f"unexpected {p.peek().text!r} after formula")
     made[src] = f
     return f
 
@@ -293,7 +272,7 @@ def _formula(p: _Parser, made: dict, level: int = 0) -> Formula:
             p.expect(")")
             return f
         found = t.text or "end of input"
-        raise ParseError(f"expected a formula, found {found!r}", t.span, frozenset({"ident", "("}))
+        raise p.error(f"expected a formula, found {found!r}", t, frozenset({"ident", "("}))
     f = _formula(p, made, level + 1)
     sym = p.toks[p.pos].kind
     cls, at, rightward = _BY_SYMBOL.get(sym, _NO_OP)
@@ -303,11 +282,11 @@ def _formula(p: _Parser, made: dict, level: int = 0) -> Formula:
     while p.toks[p.pos].kind == sym:
         p.pos += 1
         if sym == "->" and p.toks[p.pos].kind == "eof":
-            p.fail("expected a formula after '->'")
+            raise p.error("expected a formula after '->'")
         parts.append(_formula(p, made, level + 1))
         nxt = _BY_SYMBOL.get(p.toks[p.pos].kind, _NO_OP)
         if nxt[1] == level and nxt[0] is not cls:
-            p.fail("cannot mix '->' and '-<' without parentheses")
+            raise p.error("cannot mix '->' and '-<' without parentheses")
     if rightward:
         parts.reverse()
     f = parts[0]
@@ -354,21 +333,21 @@ def parse_term(src: str) -> Term:
     return _parse_term(src, {})
 
 
-def _parse_term(src: str, spans: dict[int, SourceSpan]) -> Term:
+def _parse_term(src: str, spans: dict[int, tuple[int, int]]) -> Term:
     """parse_term, recording in spans where each subterm of the result lies
-    in src, keyed by the subterm's id; a subterm in grouping parentheses
-    gets the span that includes them."""
-    p = _Parser(_lex(src, *_TERM_TOKENS))
+    in src, its start and end keyed by the subterm's id; a subterm in
+    grouping parentheses gets the span that includes them."""
+    p = _Parser(src, _lex(src, _TERM_TOKENS))
     try:
         t = _term(p, spans)
         if p.peek().kind != "eof":
-            p.fail(f"unexpected {p.peek().text!r} after term")
+            raise p.error(f"unexpected {p.peek().text!r} after term")
         violations = check_polarities(t)
     except RecursionError as e:
-        raise _too_deep(p) from e
+        raise p.error("nested too deeply") from e
     if violations:
         v = violations[0]
-        raise PolarityError(v.message, spans[id(subterm_at(t, v.path))])
+        raise PolarityError(v.message, _span(src, *spans[id(subterm_at(t, v.path))]))
     return t
 
 
@@ -378,7 +357,8 @@ _POLARITIES = {"+": PLUS, "-": MINUS}
 def _pol(p: _Parser) -> Polarity:
     pol = _POLARITIES.get(p.toks[p.pos].kind)
     if pol is None:
-        p.fail(f"expected '+' or '-', found {p.peek().text or 'end of input'!r}", frozenset({"+", "-"}))
+        found = p.peek().text or "end of input"
+        raise p.error(f"expected '+' or '-', found {found!r}", expected=frozenset({"+", "-"}))
     p.pos += 1
     return pol
 
@@ -386,11 +366,11 @@ def _pol(p: _Parser) -> Polarity:
 def _binder(p: _Parser) -> tuple[str, Polarity]:
     t = p.expect("ident")
     if t.text in _TERM_KEYWORDS:
-        raise ParseError(f"{t.text!r} is reserved and cannot bind", t.span)
+        raise p.error(f"{t.text!r} is reserved and cannot bind", t)
     return t.text, _pol(p)
 
 
-def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
+def _term(p: _Parser, spans: dict[int, tuple[int, int]]) -> Term:
     """The term at p, recording in spans where it lies, first token to
     last.  It takes one frame per level."""
     tok = p.peek()
@@ -401,7 +381,7 @@ def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
         p.expect(")")
     elif lead is None:
         if tok.kind != "ident":
-            p.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+            raise p.error(f"expected a term, found {tok.text or 'end of input'!r}")
         p.pos += 1
         t = Var(tok.text, _pol(p))
     else:
@@ -421,12 +401,12 @@ def _term(p: _Parser, spans: dict[int, SourceSpan]) -> Term:
             else:
                 p.expect(piece)
         if fixed is not None and pol is not fixed:  # p1 and p2 fix their polarity
-            raise ParseError(f"{tok.text} is always {fixed}", tok.span)
+            raise p.error(f"{tok.text} is always {fixed}", tok)
         t = build(cls, parts, pol)
         for q, (_, want) in zip(given, filter(None, binders(t))):
             if q is not want:
-                raise ParseError(_BINDER_ERRORS[cls].format(given=q, want=want), tok.span)
-    spans[id(t)] = SourceSpan(tok.start, p.toks[p.pos - 1].end, tok.line, tok.column)
+                raise p.error(_BINDER_ERRORS[cls].format(given=q, want=want), tok)
+    spans[id(t)] = tok.start, p.toks[p.pos - 1].end
     return t
 
 
@@ -562,7 +542,7 @@ def derivation_from_obj(obj) -> Derivation:
     its gamma and delta entries as given, is made once."""
     formulas: dict = {}  # every formula string parsed and every formula made
     terms: dict[str, Term] = {}  # by text: every term string parsed
-    spans: dict[int, SourceSpan] = {}  # every parsed subterm's place in its source
+    spans: dict[int, tuple[int, int]] = {}  # every parsed subterm's place in its source
     bases: dict[tuple, Basis] = {}
 
     def child(src: str, parent: tuple[Term, str]) -> tuple[Term, str] | None:
@@ -570,8 +550,8 @@ def derivation_from_obj(obj) -> Derivation:
         its spans refer to, if there is one."""
         parent_term, parent_src = parent
         for t in children(parent_term):
-            span = spans[id(t)]
-            if span.end - span.start == len(src) and parent_src.startswith(src, span.start):
+            start, end = spans[id(t)]
+            if end - start == len(src) and parent_src.startswith(src, start):
                 return t, parent_src
         return None
 

@@ -52,6 +52,7 @@ from .syntax import (
     is_ground,
     metavars_of,
     rename_bound,
+    restore,
     with_children,
 )
 
@@ -277,10 +278,7 @@ class _Walker:
                 got = self.go(kids[i], variables if out is None else {})
                 path.pop()
                 if b and out is None:
-                    if outer is None:
-                        del variables[b]
-                    else:
-                        variables[b] = outer
+                    restore(variables, b, outer)
                 if out is not None:  # merge the child's resolved typing
                     got, kid = out[id(kids[i])]
                     if b in kid:

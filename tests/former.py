@@ -31,7 +31,9 @@ per constructor, and that inference behind the polarity check.  The
 former validator, parser, `sense` and `check` call these two, not the
 code they are compared with.  The term parser and the formula parser use
 `_FormerParser`, whose `peek` could look ahead, as textio's parser state
-did then.
+did then, over the tokens of textio's lexer as it was before each lexer
+became one regular expression: `_lex` walked the source one character at
+a time, and each token carried its line and column.
 
 The last section keeps the JSON load and `dual_derivation` as they were
 before a load recorded each subformula's text and made each distinct
@@ -44,6 +46,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from l2int.derivation import (
     RULE_TABLE,
@@ -101,10 +104,6 @@ from l2int.textio import (
     ParseError,
     PolarityError,
     SourceSpan,
-    _lex,
-    _Parser,
-    _pol,
-    _too_deep,
     print_formula,
 )
 from l2int.typecheck import (
@@ -120,6 +119,109 @@ from l2int.typecheck import (
     principal,
 )
 from l2int.duality import InvalidDerivation
+
+
+# ------------------------------------------------- the lexer as it was
+
+
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    start: int
+    end: int
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end, self.line, self.column)
+
+
+# textio's token tables as they were: the two-character and the
+# one-character tokens of each lexer.
+FORMULA_TOKENS = ("->", "-<"), "()|&"
+TERM_TOKENS = (), "()+,-.<>\\{|}"
+
+
+def _lex(src: str, two_char: tuple[str, ...], singles: str) -> list[_Token]:
+    toks: list[_Token] = []
+    i, line, col = 0, 0, 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 0
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        for op in two_char:
+            if src.startswith(op, i):
+                toks.append(_Token(op, op, i, i + 2, line, col))
+                i += 2
+                col += 2
+                break
+        else:
+            if ch.islower() and ch.isalpha():
+                j = i
+                while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                    j += 1
+                toks.append(_Token("ident", src[i:j], i, j, line, col))
+                col += j - i
+                i = j
+            elif ch in singles:
+                toks.append(_Token(ch, ch, i, i + 1, line, col))
+                i += 1
+                col += 1
+            else:
+                raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1, line, col))
+    toks.append(_Token("eof", "", len(src), len(src), line, col))
+    return toks
+
+
+class _Parser:
+    """A position in a token list that ends with one eof token, which
+    `next` never moves past, so `toks[pos]` is always a token."""
+
+    def __init__(self, tokens: list[_Token]):
+        self.toks = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.toks[self.pos]
+
+    def next(self) -> _Token:
+        t = self.toks[self.pos]
+        if t.kind != "eof":
+            self.pos += 1
+        return t
+
+    def expect(self, kind: str) -> _Token:
+        t = self.peek()
+        if t.kind != kind:
+            raise ParseError(
+                f"expected {kind!r}, found {t.text or 'end of input'!r}",
+                t.span,
+                frozenset({kind}),
+            )
+        return self.next()
+
+    def fail(self, message: str, expected: frozenset[str] = frozenset()):
+        raise ParseError(message, self.peek().span, expected)
+
+
+def _too_deep(p: _Parser) -> ParseError:
+    return ParseError("nested too deeply", p.peek().span)
+
+
+def _pol(p: _Parser) -> Polarity:
+    pol = {"+": PLUS, "-": MINUS}.get(p.toks[p.pos].kind)
+    if pol is None:
+        p.fail(f"expected '+' or '-', found {p.peek().text or 'end of input'!r}", frozenset({"+", "-"}))
+    p.pos += 1
+    return pol
 
 
 class _FormerParser(_Parser):
@@ -837,7 +939,7 @@ _TERM_KEYWORDS = {"top", "bot", "abort", "fst", "snd", "inl", "inr", "case", "ap
 def former_parse_term(src: str, spans: dict[int, SourceSpan] | None = None) -> Term:
     """spans, where given, gets the place in src of each subterm, by id."""
     spans = {} if spans is None else spans
-    p = _FormerParser(_lex(src, (), "()<>{},.|\\+-"))
+    p = _FormerParser(_lex(src, *TERM_TOKENS))
     try:
         t = _term(p, spans)
         if p.peek().kind != "eof":
@@ -965,7 +1067,7 @@ def _term(p: _FormerParser, spans: dict[int, SourceSpan]) -> Term:
 def former_parse_formula(src: str) -> Formula:
     """textio.parse_formula as it was before `textio._INFIX` drove it: a
     function per level."""
-    p = _FormerParser(_lex(src, ("->", "-<"), "&|()"))
+    p = _FormerParser(_lex(src, *FORMULA_TOKENS))
     try:
         f = _formula(p)
     except RecursionError as e:

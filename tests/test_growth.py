@@ -8,7 +8,8 @@ the ratio between a growth the input's size forces and the next power up.
 import time
 
 from l2int.derivation import validate
-from l2int.syntax import PLUS, Atom, Basis, Imp, Lam, Var
+from l2int.syntax import PLUS, And, Atom, Basis, Imp, Lam, Pair, Var
+from l2int.textio import parse_formula, parse_term, print_formula, print_term
 from l2int.typecheck import check
 
 
@@ -43,3 +44,26 @@ def test_validate_time_is_quadratic_on_a_lambda_chain():
         return _best_seconds(lambda: validate(d))
 
     assert seconds(400) < 4.5 * seconds(200)
+
+
+def _balanced(leaf, join, height: int):
+    """The balanced tree of 2**height leaves, leaf(i) the i-th, joined by join."""
+    level = [leaf(i) for i in range(2**height)]
+    while len(level) > 1:
+        level = [join(a, b) for a, b in zip(level[::2], level[1::2])]
+    return level[0]
+
+
+def test_parse_time_is_linear_on_balanced_trees():
+    # Lexing and parsing are one pass over the text, so doubling the leaves
+    # about doubles the time.  From 2**12 to 2**13 leaves the ratio was
+    # 1.84-2.27 for both parsers on Python 3.11 (27 -> 60 ms for terms),
+    # both with the lexer that walked the text one character at a time and
+    # with one regular expression per lexer.  The bound of 3 leaves room for
+    # noise and fails a parser that goes quadratic anywhere (4x).
+    for parse, leaf, join, show in [
+        (parse_term, lambda i: Var(f"x{i}", PLUS), lambda a, b: Pair(a, b, PLUS), print_term),
+        (parse_formula, lambda i: Atom(f"a{i}"), And, print_formula),
+    ]:
+        small, large = (show(_balanced(leaf, join, h)) for h in (12, 13))
+        assert _best_seconds(lambda: parse(large)) < 3 * _best_seconds(lambda: parse(small)), parse.__name__

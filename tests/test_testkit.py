@@ -17,7 +17,7 @@ from l2int.testkit import (
     gen_formula,
     oracle_reduce_all,
 )
-from l2int.textio import derivation_to_json, parse_formula, parse_term, print_term
+from l2int.textio import derivation_from_json, derivation_to_json, parse_formula, parse_term, print_term
 from conftest import DATA
 
 
@@ -26,6 +26,19 @@ def test_gen_config_validation():
         GenConfig(atom_pool=())
     with pytest.raises(ValueError):
         GenConfig(max_height=-1)
+
+
+@pytest.mark.parametrize("pool", [("A",), ("a b",), ("top",)])
+def test_gen_config_rejects_atoms_the_syntax_cannot_read_back(pool):
+    # "A" is no identifier, "a b" is two, and "top" reads back as Verum().
+    with pytest.raises(ValueError, match="does not read back"):
+        GenConfig(atom_pool=("a", *pool))
+
+
+def test_gen_derivation_with_any_readable_atom_round_trips():
+    for seed in range(10):
+        d = gen_derivation(GenConfig(seed=seed, max_height=5, atom_pool=("x1", "\u00e9")))
+        assert derivation_from_json(derivation_to_json(d)) == d
 
 
 def test_gen_derivation_deterministic_in_seed():
