@@ -41,6 +41,7 @@ from .syntax import (
     Bot,
     Case,
     CoImp,
+    Connective,
     Falsum,
     Formula,
     Fst,
@@ -210,13 +211,13 @@ def match_pattern(pattern: Formula, f: Formula, env: dict[str, Formula]) -> bool
 
 def instantiate(pattern: Formula, env: dict[str, Formula], fresh=None) -> Formula:
     """pattern under env; fresh() makes each variable env leaves open,
-    left to right."""
+    left to right.  A leaf that is not a variable is returned as it is."""
     if isinstance(pattern, MetaVar):
         got = env.get(pattern.name)
         if got is None:
             got = env[pattern.name] = fresh()
         return got
-    if isinstance(pattern, (Verum, Falsum)):
+    if not isinstance(pattern, Connective):
         return pattern
     left = instantiate(pattern.left, env, fresh)
     return type(pattern)(left, instantiate(pattern.right, env, fresh))

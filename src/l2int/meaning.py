@@ -71,20 +71,20 @@ def identical(
     return identity_verdict(t, u, modulo_duality, fuel) != DISTINCT
 
 
-def canonical_variable_form(t: Term, free: dict[tuple[str, Polarity], str] | None = None) -> Term:
+def canonical_variable_form(t: Term) -> Term:
     """Rename every variable to a position-determined name.
 
     Bound names come from the binding site, free names from first use, so
     two terms get the same canonical form exactly when one is the other
-    under a bijective polarity-preserving renaming of variables.  free,
-    where given, gets the name each free variable of t is renamed to.
+    under a bijective polarity-preserving renaming of variables.
     """
-    return _canonical(t, {} if free is None else free)[0]
+    return _canonical(t, {})[0]
 
 
 def _canonical(t: Term, free: dict[tuple[str, Polarity], str]) -> tuple[Term, str]:
-    """canonical_variable_form(t, free) and its text, in one walk: each
-    node's text is formatted from its children's as the node is built."""
+    """canonical_variable_form(t) and its text, in one walk: each node's
+    text is formatted from its children's as the node is built.  free gets
+    the name each free variable of t is renamed to."""
     fresh = map("v{}".format, itertools.count())
     bound: dict[tuple[str, Polarity], str] = {}  # the binders in scope, innermost first
 

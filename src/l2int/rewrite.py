@@ -169,20 +169,12 @@ class NormalizeResult:
 DEFAULT_FUEL = 10_000
 
 
-def _pick(t: Term) -> RedexPosition | None:
-    rs = find_redexes(t)
-    if not rs:
-        return None
-    return min(rs, key=lambda r: KINDS.index(r.kind))
-
-
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeResult:
     steps: list[TraceStep] = []
-    while True:
-        pos = _pick(t)
-        if pos is None:
-            return NormalizeResult(t, steps)
+    while rs := find_redexes(t):
         if len(steps) >= fuel:
             return NormalizeResult(t, steps, exhausted=True)
+        pos = min(rs, key=lambda r: KINDS.index(r.kind))
         t = step(t, pos)
         steps.append(TraceStep(pos, t))
+    return NormalizeResult(t, steps)

@@ -120,9 +120,6 @@ class _Gen:
     def fresh_name(self) -> str:
         return f"x{next(self.names)}"
 
-    def unify(self, a: Formula, b: Formula) -> None:
-        _unify(a, b, self.subst)
-
     def hyp(self, goal: Formula, pol: Polarity, scope: dict) -> Term:
         candidates = [
             (n, f)
@@ -134,7 +131,7 @@ class _Gen:
             for name, ty in candidates[:4]:
                 snapshot = dict(self.subst.mapping)
                 try:
-                    self.unify(ty, goal)
+                    _unify(ty, goal, self.subst)
                     return Var(name, pol)
                 except UnifyError:
                     self.subst.mapping = snapshot
@@ -148,23 +145,15 @@ class _Gen:
             raise _Retry
         if budget <= 0:
             return self.hyp(goal, pol, scope)
-        g = self.subst.walk(goal)
-        weighted = [
-            (r, self.weights[r.name])
+        g, weights = self.subst.walk(goal), self.weights
+        fit = [
+            r
             for r in _OFFERS[pol]
-            if isinstance(r.concl, MetaVar) or isinstance(g, (MetaVar, type(r.concl)))
+            if weights[r.name] > 0 and (isinstance(r.concl, MetaVar) or isinstance(g, (MetaVar, type(r.concl))))
         ]
-        weighted = [(r, w) for r, w in weighted if w > 0]
-        if not weighted:
+        if not fit:
             return self.hyp(goal, pol, scope)
-        total = sum(w for _, w in weighted)
-        pick = self.rng.random() * total
-        rule = weighted[-1][0]
-        for r, w in weighted:
-            pick -= w
-            if pick <= 0:
-                rule = r
-                break
+        rule = self.rng.choices(fit, [weights[r.name] for r in fit])[0]
         return self.apply_rule(rule, goal, pol, budget, scope)
 
     def apply_rule(self, rule: Rule, goal, pol, budget: int, scope: dict) -> Term:
@@ -179,7 +168,7 @@ class _Gen:
         if isinstance(rule.concl, MetaVar):
             env[rule.concl.name] = goal
         else:
-            self.unify(goal, instantiate(rule.concl, env, self.fresh_meta))
+            _unify(goal, instantiate(rule.concl, env, self.fresh_meta), self.subst)
         names, parts = None, []
         for p in rule.prems:
             inner = scope
@@ -195,8 +184,8 @@ class _Gen:
 
     def ground(self) -> None:
         for name in self.metas:
-            if isinstance(self.subst.walk(MetaVar(name)), MetaVar):
-                root = self.subst.walk(MetaVar(name))
+            root = self.subst.walk(MetaVar(name))
+            if isinstance(root, MetaVar):
                 self.subst.mapping[root.name] = Atom(self.rng.choice(self.cfg.atom_pool))
 
 

@@ -160,14 +160,6 @@ def _letter(i: int) -> str:
     return s[i % 26] + ("" if i < 26 else str(i // 26))
 
 
-def _rename_metavars(f: Formula, names: dict[str, str]) -> Formula:
-    if isinstance(f, MetaVar):
-        return MetaVar(names[f.name])
-    if isinstance(f, Connective):
-        return type(f)(_rename_metavars(f.left, names), _rename_metavars(f.right, names))
-    return f
-
-
 def infer_principal(t: Term) -> Principal:
     """Most general basis and type making t a valid subject."""
     for v in check_polarities(t):
@@ -181,10 +173,10 @@ def principal(body: Formula, free: dict[tuple[str, Polarity], Formula], pol: Pol
     first occurrence: in gamma by name, then in delta, then in body."""
     gamma, delta, names = _lettered(body, free)
     basis = Basis(
-        tuple((n, _rename_metavars(f, names)) for n, f in gamma),
-        tuple((n, _rename_metavars(f, names)) for n, f in delta),
+        tuple((n, instantiate(f, names)) for n, f in gamma),
+        tuple((n, instantiate(f, names)) for n, f in delta),
     )
-    return Principal(basis, pol, TypeScheme(tuple(names.values()), _rename_metavars(body, names)))
+    return Principal(basis, pol, TypeScheme(tuple(m.name for m in names.values()), instantiate(body, names)))
 
 
 def principal_scheme(body: Formula, free: dict[tuple[str, Polarity], Formula]) -> TypeScheme:
@@ -192,16 +184,17 @@ def principal_scheme(body: Formula, free: dict[tuple[str, Polarity], Formula]) -
     follow first occurrence in gamma, then delta, then body, and list the
     metavariables that occur in the basis alone."""
     names = _lettered(body, free)[2]
-    return TypeScheme(tuple(names.values()), _rename_metavars(body, names))
+    return TypeScheme(tuple(m.name for m in names.values()), instantiate(body, names))
 
 
 def _lettered(body: Formula, free: dict[tuple[str, Polarity], Formula]):
-    """free's gamma and delta entries, each sorted by name, and the letter
-    of each metavariable in order of first occurrence in them and body."""
+    """free's gamma and delta entries, each sorted by name, and the env
+    `instantiate` renames by: each metavariable to the one named by its
+    letter, in order of first occurrence in them and body."""
     gamma = sorted((n, f) for (n, p), f in free.items() if p is PLUS)
     delta = sorted((n, f) for (n, p), f in free.items() if p is MINUS)
     order = metavars_of(*(f for _, f in gamma), *(f for _, f in delta), body)
-    return gamma, delta, {n: _letter(i) for i, n in enumerate(order)}
+    return gamma, delta, {n: MetaVar(_letter(i)) for i, n in enumerate(order)}
 
 
 Typing = tuple[Formula, dict[tuple[str, Polarity], Formula]]
@@ -306,11 +299,10 @@ class _Walker:
 
 def schemes_equal(a: TypeScheme, b: TypeScheme) -> bool:
     """Equality modulo renaming of metavariables."""
-    na = {n: _letter(i) for i, n in enumerate(metavars_of(a.body))}
-    nb = {n: _letter(i) for i, n in enumerate(metavars_of(b.body))}
-    return len(a.metavariables) == len(b.metavariables) and _rename_metavars(
-        a.body, na
-    ) == _rename_metavars(b.body, nb)
+    return (
+        len(a.metavariables) == len(b.metavariables)
+        and principal_scheme(a.body, {}).body == principal_scheme(b.body, {}).body
+    )
 
 
 def check(basis: Basis, pol: Polarity, t: Term, a: Formula) -> Derivation:

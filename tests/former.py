@@ -11,10 +11,10 @@ its shape was read off its fields: `children`, `with_children`,
 each a case per constructor; the formula parser with a function per level
 of precedence, as it was before `textio._INFIX` stated the levels; and the
 formula traversals that matched the four connectives one by one
-(`dual_formula`, `Substitution.apply`, `_rename_metavars`,
-`_metavar_order` and the unifier).  Everything in this
-module reaches subterms through these copies, so the references do not
-share the code they are compared with.
+(`dual_formula`, `Substitution.apply`, `_rename_metavars`, whose job
+`derivation.instantiate` now does, `_metavar_order` and the unifier).
+Everything in this module reaches subterms through these copies, so the
+references do not share the code they are compared with.
 
 The next section keeps the JSON dump and `sense` as they were before each
 visited every subterm once per derivation: the tree of strings that
@@ -35,11 +35,16 @@ did then, over the tokens of textio's lexer as it was before each lexer
 became one regular expression: `_lex` walked the source one character at
 a time, and each token carried its line and column.
 
-The last section keeps the JSON load and `dual_derivation` as they were
-before a load recorded each subformula's text and made each distinct
-basis once, and before `dual_derivation` dualized each basis object once:
-they parse with the former parsers and dualize with the former
-`dual_formula` and `dual_term`."""
+The last section but one keeps the JSON load and `dual_derivation` as
+they were before a load recorded each subformula's text and made each
+distinct basis once, and before `dual_derivation` dualized each basis
+object once: they parse with the former parsers and dualize with the
+former `dual_formula` and `dual_term`.
+
+The very last keeps two pieces of code that repeated a library function:
+`schemes_equal` with its own lettering, before it reused
+`principal_scheme`, and the generator's weighted draw as a subtraction
+loop, before it called `random.Random.choices`."""
 
 from __future__ import annotations
 
@@ -112,9 +117,11 @@ from l2int.typecheck import (
     Principal,
     Substitution,
     TypeMismatch,
+    TypeScheme,
     UnboundVariable,
     UnifyError,
     Untypable,
+    _letter,
     _unify,
     principal,
 )
@@ -1696,3 +1703,39 @@ def former_dual_derivation(d: Derivation) -> Derivation:
         return Derivation(rule.dual, concl, prems)
 
     return node(d)
+
+
+# ------------------------------- scheme equality and the generator's draw
+
+
+def former_schemes_equal(a: TypeScheme, b: TypeScheme) -> bool:
+    """Equality modulo renaming of metavariables: each body lettered A, B,
+    ... in order of first occurrence, on its own."""
+    na = {n: _letter(i) for i, n in enumerate(former_metavar_order([a.body]))}
+    nb = {n: _letter(i) for i, n in enumerate(former_metavar_order([b.body]))}
+    return len(a.metavariables) == len(b.metavariables) and former_rename_metavars(
+        a.body, na
+    ) == former_rename_metavars(b.body, nb)
+
+
+def former_draw(rng, offers, weights: dict[str, float], goal: Formula):
+    """The rule `_Gen.go` drew from offers for goal (already walked), with
+    one rng.random() call, or None where no rule of positive weight fits
+    and it took a hypothesis instead."""
+    weighted = [
+        (r, weights[r.name])
+        for r in offers
+        if isinstance(r.concl, MetaVar) or isinstance(goal, (MetaVar, type(r.concl)))
+    ]
+    weighted = [(r, w) for r, w in weighted if w > 0]
+    if not weighted:
+        return None
+    total = sum(w for _, w in weighted)
+    pick = rng.random() * total
+    rule = weighted[-1][0]
+    for r, w in weighted:
+        pick -= w
+        if pick <= 0:
+            rule = r
+            break
+    return rule

@@ -9,6 +9,7 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 
 from l2int import syntax
+from l2int.derivation import instantiate
 from l2int.duality import dual_term
 from l2int.syntax import (
     PLUS,
@@ -53,7 +54,7 @@ from l2int.textio import (
     print_formula,
     print_term,
 )
-from l2int.typecheck import Substitution, UnifyError, _rename_metavars, _unify
+from l2int.typecheck import Substitution, UnifyError, _unify
 import former
 from former import (
     former_apply,
@@ -213,6 +214,15 @@ def _substitutions(draw):
     return Substitution(mapping)
 
 
+def test_instantiate_keeps_an_atom_or_a_constant_as_it_is():
+    # Renaming a scheme's metavariables goes through instantiate, so each
+    # leaf that is not a metavariable, atoms included, is the same object.
+    env = {"A": MetaVar("B")}
+    for leaf in (Atom("a"), Verum(), Falsum()):
+        assert instantiate(leaf, env) is leaf
+        assert instantiate(Imp(MetaVar("A"), leaf), env).right is leaf
+
+
 @hyp.given(_formulas(VAR_NAMES), _formulas(VAR_NAMES), _substitutions())
 @hyp.settings(max_examples=400, deadline=None)
 def test_formula_traversals_match_former_code(f, g, s):
@@ -223,7 +233,7 @@ def test_formula_traversals_match_former_code(f, g, s):
     assert s.apply(f) == former_apply(s, f)
 
     letters = {n: n.lower() + "1" for n in VAR_NAMES}
-    assert _rename_metavars(f, letters) == former_rename_metavars(f, letters)
+    assert instantiate(f, {n: MetaVar(x) for n, x in letters.items()}) == former_rename_metavars(f, letters)
     assert metavars_of(f, g) == former_metavar_order([f, g])
 
     new, old = Substitution(dict(s.mapping)), Substitution(dict(s.mapping))

@@ -8,9 +8,9 @@ the ratio between a growth the input's size forces and the next power up.
 import time
 
 from l2int.derivation import validate
-from l2int.syntax import PLUS, And, Atom, Basis, Imp, Lam, Pair, Var
+from l2int.syntax import PLUS, And, Atom, Basis, Imp, Inl, Lam, Pair, Var
 from l2int.textio import parse_formula, parse_term, print_formula, print_term
-from l2int.typecheck import check
+from l2int.typecheck import check, infer_principal
 
 
 def _best_seconds(run, repeats: int = 5) -> float:
@@ -44,6 +44,26 @@ def test_validate_time_is_quadratic_on_a_lambda_chain():
         return _best_seconds(lambda: validate(d))
 
     assert seconds(400) < 4.5 * seconds(200)
+
+
+def _inl_chain(n: int):
+    """inl+(inl+(... y+)), n levels."""
+    t = Var("y", PLUS)
+    for _ in range(n):
+        t = Inl(t, PLUS)
+    return t
+
+
+def test_infer_principal_time_is_linear_on_chains():
+    # One typing walk, one unification per node and one lettering of the
+    # result, so doubling the levels about doubles the time: from 200 to
+    # 400 levels the ratio was 1.94-2.10 (2.5-3.1 ms at 400) on both chains
+    # on Python 3.11, with metavariables lettered by `_rename_metavars` and
+    # by `instantiate` alike.  The bound of 3 leaves a margin of about 0.9
+    # for noise and fails a quadratic pass (4x).
+    for name, chain in [("lambda", lambda n: _lambda_chain(n).concl.term), ("inl", _inl_chain)]:
+        small, large = chain(200), chain(400)
+        assert _best_seconds(lambda: infer_principal(large)) < 3 * _best_seconds(lambda: infer_principal(small)), name
 
 
 def _balanced(leaf, join, height: int):

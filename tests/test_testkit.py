@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,9 +8,26 @@ import pytest
 
 from l2int.derivation import check_polarities, height, validate
 from l2int.rewrite import normalize
-from l2int.syntax import PLUS, MINUS, Atom, Connective, Imp, MetaVar, is_ground, term_size
+from l2int.syntax import (
+    PLUS,
+    MINUS,
+    And,
+    Atom,
+    CoImp,
+    Connective,
+    Falsum,
+    Imp,
+    MetaVar,
+    Or,
+    Var,
+    Verum,
+    is_ground,
+    term_size,
+)
 from l2int.testkit import (
+    _OFFERS,
     DEFAULT_WEIGHTS,
+    _Gen,
     GenConfig,
     gen_basis,
     gen_derivation,
@@ -19,6 +37,7 @@ from l2int.testkit import (
 )
 from l2int.textio import derivation_from_json, derivation_to_json, parse_formula, parse_term, print_term
 from conftest import DATA
+from former import former_draw
 
 
 def test_gen_config_validation():
@@ -180,6 +199,37 @@ def test_oracle_agrees_with_canonical_normalize():
             continue
         nf = normalize(t).term
         assert alpha_key(nf) in {alpha_key(n) for n in r.normal_forms}
+
+
+def test_rule_draw_matches_former_subtraction_loop():
+    # go draws with random.Random.choices: one random() call, as the former
+    # loop made, and the first rule whose running total of weights exceeds
+    # random() times the total.  The weight lists are random subsets of
+    # the defaults (a zero weight drops a rule; every fifth list is mostly
+    # zeros, so that at times no rule fits), some reweighted between 1e-9
+    # and 1e9, and each goal selects the rules that fit it.
+    lists, a = random.Random(24), Atom("a")
+    goals = [MetaVar("g"), a, Verum(), Falsum(), And(a, a), Or(a, a), Imp(a, a), CoImp(a, a)]
+    draws = hypotheses = 0
+    for k in range(50):
+        zeros = [0.0] * (20 if k % 5 == 0 else 1)
+        weights = {
+            n: lists.choice([*zeros, 1e-9, 1e9, w, w * 10 ** lists.uniform(-9, 9)]) for n, w in DEFAULT_WEIGHTS.items()
+        }
+        for pol, goal in itertools.product(_OFFERS, goals):
+            g, old = _Gen(GenConfig(rule_weights=weights), random.Random(k)), random.Random(k)
+            g.apply_rule = lambda rule, *rest: rule
+            for _ in range(150):
+                want, got = former_draw(old, _OFFERS[pol], weights, goal), g.go(goal, pol, 1, {})
+                if want is None:  # no rule of positive weight fits: a hypothesis
+                    assert type(got) is Var
+                    hypotheses += 1
+                    break
+                assert got is want
+                draws += 1
+            else:
+                assert g.rng.getstate() == old.getstate()
+    assert draws >= 100_000 and hypotheses > 0
 
 
 @hyp.given(st.integers(0, 5000))

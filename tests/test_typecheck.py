@@ -55,8 +55,16 @@ from l2int.typecheck import (
     schemes_equal,
     unify,
 )
-from former import former_check, former_check_polarities, former_infer_principal, former_open_metavariables
+from former import (
+    former_check,
+    former_check_polarities,
+    former_infer_principal,
+    former_open_metavariables,
+    former_rename_metavars,
+    former_schemes_equal,
+)
 from test_acceptance import REDEX_HEAVY_WEIGHTS
+from test_constructor_shapes import _formulas
 from conftest import (
     build_worked_first,
     build_worked_second,
@@ -199,6 +207,28 @@ def test_schemes_equal_modulo_renaming():
     assert schemes_equal(a, b)
     assert not schemes_equal(a, c)
     assert not schemes_equal(b, c)
+
+
+_SCHEME_NAMES = ["A", "B", "C", "m1", "m2"]
+
+
+@hyp.given(
+    _formulas(_SCHEME_NAMES), _formulas(_SCHEME_NAMES), st.permutations(_SCHEME_NAMES + ["P", "Q"]), st.booleans()
+)
+@hyp.settings(max_examples=400, deadline=None)
+def test_schemes_equal_matches_former_schemes_equal(f, g, targets, extra):
+    # A random renaming of f's metavariables, injective unless two names
+    # are mapped to one, and an unrelated body g; extra lists one more
+    # metavariable than the body has, which no renaming makes up for.
+    injective = dict(zip(_SCHEME_NAMES, targets))
+    merging = {**injective, "m2": injective["A"]}
+    a = TypeScheme(tuple(metavars_of(f)), f)
+    for body in (former_rename_metavars(f, injective), former_rename_metavars(f, merging), g):
+        listed = tuple(metavars_of(body)) + (("Z",) if extra else ())
+        b = TypeScheme(listed, body)
+        assert schemes_equal(a, b) == former_schemes_equal(a, b)
+        assert schemes_equal(b, a) == former_schemes_equal(b, a)
+    assert schemes_equal(a, TypeScheme(tuple(metavars_of(f)), former_rename_metavars(f, injective)))
 
 
 # ------------------------------------------------------------------- check
