@@ -485,14 +485,17 @@ def alpha_key(t: Term):
     env: dict = {}  # the binders in scope, each at its depth; set and restored around a child
 
     def go(t: Term, depth: int):
+        # The sign is read by identity: `Polarity.value` is a Python-level
+        # property call.
+        sign = "+" if t.pol is PLUS else "-"
         if isinstance(t, Var):
             k = env.get((t.name, t.pol))
-            return ("b", k, t.pol.value) if k is not None else ("f", t.name, t.pol.value)
+            return ("b", k, sign) if k is not None else ("f", t.name, sign)
         tag = type(t).__name__.lower()
         kids = children(t)
         if not kids:
             return (tag,)
-        key = [tag, t.pol.value]
+        key = [tag, sign]
         for c, b in zip(kids, binders(t)):
             if b is None:
                 key.append(go(c, depth))

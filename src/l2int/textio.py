@@ -530,6 +530,16 @@ def _is_basis(entries) -> bool:
     )
 
 
+def _basis_key(entries) -> tuple | None:
+    """The basis memo's key for one side's entries: the items of each, or
+    None for an entry that is not a list.  A string "ab" is no list, so it
+    cannot pass for ["a", "b"]; a key that equals a validated side's comes
+    from equal, so well-formed, entries."""
+    if type(entries) is not list:
+        return None
+    return tuple([tuple(e) if type(e) is list else None for e in entries])
+
+
 def derivation_from_obj(obj) -> Derivation:
     """The derivation a JSON object describes.  Each distinct formula or
     term string is parsed once per call and the result shared by every
@@ -568,14 +578,19 @@ def derivation_from_obj(obj) -> Derivation:
         c = obj["concl"]
         if not isinstance(c, dict):
             raise DerivationFormatError("judgment must be an object")
-        for key in ("gamma", "delta"):
-            if not _is_basis(c.get(key)):
-                raise DerivationFormatError(f"{key} must be a list of [name, formula] string pairs")
-        for key in ("pol", "term", "type"):
-            if not isinstance(c.get(key), str):
-                raise DerivationFormatError(f"{key} must be a string")
-        key = tuple(map(tuple, c["gamma"])), tuple(map(tuple, c["delta"]))
-        basis = bases.get(key)
+        # A basis made before was validated then: look it up first.
+        key = _basis_key(c.get("gamma")), _basis_key(c.get("delta"))
+        try:
+            basis = bases.get(key)
+        except TypeError:  # an unhashable item, so a side is malformed
+            basis = None
+        if basis is None:
+            for side in ("gamma", "delta"):
+                if not _is_basis(c.get(side)):
+                    raise DerivationFormatError(f"{side} must be a list of [name, formula] string pairs")
+        for field in ("pol", "term", "type"):
+            if not isinstance(c.get(field), str):
+                raise DerivationFormatError(f"{field} must be a string")
         if basis is None:
             gamma = {n: _shared_formula(f, formulas) for n, f in c["gamma"]}
             delta = {n: _shared_formula(f, formulas) for n, f in c["delta"]}

@@ -35,16 +35,24 @@ did then, over the tokens of textio's lexer as it was before each lexer
 became one regular expression: `_lex` walked the source one character at
 a time, and each token carried its line and column.
 
-The last section but one keeps the JSON load and `dual_derivation` as
+The section after that keeps the JSON load and `dual_derivation` as
 they were before a load recorded each subformula's text and made each
 distinct basis once, and before `dual_derivation` dualized each basis
 object once: they parse with the former parsers and dualize with the
 former `dual_formula` and `dual_term`.
 
-The very last keeps two pieces of code that repeated a library function:
+The next keeps two pieces of code that repeated a library function:
 `schemes_equal` with its own lettering, before it reused
 `principal_scheme`, and the generator's weighted draw as a subtraction
-loop, before it called `random.Random.choices`."""
+loop, before it called `random.Random.choices`.
+
+The last keeps `find_redexes`, `step` and `normalize` as they
+were before `rewrite._facts` kept each node's free variables and first
+redexes for the length of a call: each step scanned the whole term again,
+and each case's simp test walked both branches with `free_vars`.  They
+contract with `rewrite._beta` and `_perm` and reach subterms through
+`syntax`, which that change left as they were, so the differential tests
+compare the scan alone."""
 
 from __future__ import annotations
 
@@ -66,6 +74,7 @@ from l2int.derivation import (
     rule_of,
 )
 from l2int.meaning import SenseDescriptor, SenseEntry
+from l2int import rewrite
 from l2int.rewrite import KINDS, NormalizeResult, NotARedex, RedexPosition, TraceStep
 from l2int.syntax import (
     PLUS,
@@ -100,9 +109,13 @@ from l2int.syntax import (
     Var,
     Verum,
     binders,
+    children,
+    free_vars,
     fresh_name,
     metavars_of,
     rename_bound,
+    replace_at,
+    subterm_at,
 )
 from l2int.textio import (
     DerivationFormatError,
@@ -1739,3 +1752,66 @@ def former_draw(rng, offers, weights: dict[str, float], goal: Formula):
             rule = r
             break
     return rule
+
+
+# ------------------------------ the normalizer that rescanned at every step
+
+
+def _rescan_here(t: Term) -> list[tuple[str, str]]:
+    out: list[tuple[str, str]] = []
+    intros = rewrite._INTROS.get(type(t))
+    if intros is None:
+        return out
+    kids, name = children(t), type(t).__name__
+    # Only a case's details say more: beta-CaseInl, perm-Case+.
+    if isinstance(kids[0], intros):
+        tag = type(kids[0]).__name__ if isinstance(t, Case) else ""
+        out.append(("beta", f"beta-{name}{tag}"))
+    elif isinstance(kids[0], Case):
+        tag = t.pol.value if isinstance(t, Case) else ""
+        out.append(("perm", f"perm-{name}{tag}"))
+    if isinstance(t, Case):
+        _, x, y = binders(t)
+        if x not in free_vars(kids[1]):
+            out.append(("simp", "simp-left"))
+        if y not in free_vars(kids[2]):
+            out.append(("simp", "simp-right"))
+    return out
+
+
+def rescan_find_redexes(t: Term) -> list[RedexPosition]:
+    """Every redex position, outermost first, left to right."""
+    out: list[RedexPosition] = []
+
+    def go(t: Term, path: tuple[int, ...]) -> None:
+        for kind, detail in _rescan_here(t):
+            out.append(RedexPosition(path, kind, detail))
+        for i, c in enumerate(children(t)):
+            go(c, path + (i,))
+
+    go(t, ())
+    return out
+
+
+def rescan_step(t: Term, pos: RedexPosition) -> Term:
+    sub = subterm_at(t, pos.path)
+    if (pos.kind, pos.detail) not in _rescan_here(sub):
+        raise NotARedex(f"no {pos.detail} redex at {pos.path}")
+    if pos.kind == "beta":
+        new = rewrite._beta(sub)
+    elif pos.kind == "perm":
+        new = rewrite._perm(sub)
+    else:
+        new = children(sub)[1 if pos.detail == "simp-left" else 2]
+    return replace_at(t, pos.path, new)
+
+
+def rescan_normalize(t: Term, fuel: int = rewrite.DEFAULT_FUEL) -> NormalizeResult:
+    steps: list[TraceStep] = []
+    while rs := rescan_find_redexes(t):
+        if len(steps) >= fuel:
+            return NormalizeResult(t, steps, exhausted=True)
+        pos = min(rs, key=lambda r: KINDS.index(r.kind))
+        t = rescan_step(t, pos)
+        steps.append(TraceStep(pos, t))
+    return NormalizeResult(t, steps)

@@ -7,10 +7,14 @@ the ratio between a growth the input's size forces and the next power up.
 
 import time
 
+import pytest
+
 from l2int.derivation import validate
+from l2int.rewrite import find_redexes, normalize
 from l2int.syntax import PLUS, And, Atom, Basis, Imp, Inl, Lam, Pair, Var
 from l2int.textio import parse_formula, parse_term, print_formula, print_term
 from l2int.typecheck import check, infer_principal
+from test_rewrite import _case_chain
 
 
 def _best_seconds(run, repeats: int = 5) -> float:
@@ -87,3 +91,23 @@ def test_parse_time_is_linear_on_balanced_trees():
     ]:
         small, large = (show(_balanced(leaf, join, h)) for h in (12, 13))
         assert _best_seconds(lambda: parse(large)) < 3 * _best_seconds(lambda: parse(small)), parse.__name__
+
+
+# Every level of the case chain is a simp redex, and normalize contracts
+# one at the root per step.  Rescanning the whole term at each step, with
+# both branches walked by free_vars at every case, made normalize cubic and
+# find_redexes quadratic: from 50 to 100 levels normalize went 40 -> 317
+# ms (7.9-9.5x in two runs), and from 200 to 400 find_redexes went 43 ->
+# 187 ms (4.3-4.9x), on Python 3.11.  With each node's facts computed once
+# per call, the ratios were 2.1-2.2 for normalize (20 calls take 5 ms at
+# 50 levels) and 1.9-2.5 for find_redexes (10 calls take 13 ms at 200
+# levels), whose paths, one per redex, add up to a quadratic number of
+# entries.  The bound of 3 leaves about 0.5 for noise and fails a
+# quadratic pass (4x).
+@pytest.mark.parametrize(
+    "run, n, calls", [(normalize, 50, 20), (find_redexes, 200, 10)], ids=lambda v: getattr(v, "__name__", v)
+)
+def test_rewrite_time_is_linear_on_a_case_chain(run, n, calls):
+    small, large = _case_chain(n), _case_chain(2 * n)
+    seconds = lambda t: _best_seconds(lambda: [run(t) for _ in range(calls)])
+    assert seconds(large) < 3 * seconds(small)

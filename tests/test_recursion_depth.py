@@ -21,7 +21,7 @@ import pytest
 from l2int.derivation import height, validate
 from l2int.duality import dual_derivation, dual_term
 from l2int.meaning import canonical_variable_form, sense
-from l2int.rewrite import find_redexes
+from l2int.rewrite import find_redexes, normalize
 from l2int.syntax import (
     PLUS,
     And,
@@ -134,6 +134,7 @@ TRAVERSALS = {
     "alpha_key": (_term, lambda t: alpha_key(t)),
     "canonical_variable_form": (_term, lambda t: canonical_variable_form(t)),
     "find_redexes": (_term, lambda t: find_redexes(t)),
+    "normalize": (_term, lambda t: normalize(t)),
     "dual_term": (_term, lambda t: dual_term(t)),
     "print_term": (_term, lambda t: print_term(t)),
     "parse_term": (_source, lambda src: parse_term(src)),

@@ -2,7 +2,15 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
-from former import former_find_redexes, former_free_vars, former_normalize, former_step
+from former import (
+    former_find_redexes,
+    former_free_vars,
+    former_normalize,
+    former_step,
+    rescan_find_redexes,
+    rescan_normalize,
+    rescan_step,
+)
 from l2int.meaning import IDENTICAL, identity_verdict
 from l2int.rewrite import (
     DEFAULT_FUEL,
@@ -16,6 +24,7 @@ from l2int.rewrite import (
     step,
 )
 from l2int.syntax import (
+    PLUS,
     Case,
     Lam,
     PolarityMismatch,
@@ -310,6 +319,75 @@ def test_rewrite_matches_former_rewrite(t):
     if isinstance(want, NormalizeResult):
         if not any(map(_sibling_binder_free, [t, *(s.after for s in want.steps)])):
             assert normalize(t, 12) == want
+
+
+# ---------------------------------- against the normalizer that rescanned
+
+# Positions to step besides each redex found: every kind and detail, so a
+# position holding a redex of another kind or family is asked for too.
+_ASKED = [("beta", "beta-App"), ("beta", "beta-CaseInr"), ("perm", "perm-Case+"), ("perm", "perm-Fst"),
+          ("simp", "simp-left"), ("simp", "simp-right"), ("simp", "beta-App")]
+
+
+def _matches_rescan(t, most: int) -> None:
+    """find_redexes, is_normal and step agree with the former code on t,
+    and normalize does at every fuel from 0 to one past the steps the
+    former normalize takes, or to most where it takes more or fails."""
+    rs = find_redexes(t)
+    assert rs == rescan_find_redexes(t)
+    assert is_normal(t) == (rs == [])
+    for r in rs + [RedexPosition(r.path, *kd) for r in rs for kd in _ASKED]:
+        assert _outcome(step, t, r) == _outcome(rescan_step, t, r)
+    want = _outcome(rescan_normalize, t, most)
+    for fuel in range(len(want.steps) + 2 if isinstance(want, NormalizeResult) else most + 1):
+        assert _outcome(normalize, t, fuel) == _outcome(rescan_normalize, t, fuel)
+
+
+@hyp.given(TERMS)
+@hyp.settings(max_examples=300, deadline=None)
+def test_rewrite_matches_the_normalizer_that_rescanned(t):
+    _matches_rescan(t, 20)
+
+
+@hyp.given(st.integers(0, 10_000))
+@hyp.settings(max_examples=100, deadline=None)
+def test_generated_terms_rewrite_as_the_normalizer_that_rescanned(seed):
+    # Typed terms with eliminations weighted up, so betas and perms meet.
+    weights = {"OrE": 4.0, "AndE_d": 4.0, "ImpE": 3.0, "CoImpE_d": 3.0}
+    t = gen_derivation(GenConfig(seed=seed, max_height=6, rule_weights=weights)).concl.term
+    hyp.assume(term_size(t) <= 40)
+    _matches_rescan(t, 40)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "case z+ {x+. (\\x+. x+)+ | y+. y+}+",
+        "case z+ {x+. case w+ {x+. x+ | v+. v+}+ | y+. y+}+",
+        "case z+ {x+. y+ | y+. case w+ {v+. v+ | y+. y+}+}+",
+        "app+((\\x+. case z+ {x+. (\\x+. x+)+ | y+. x+}+)+, w+)",
+    ],
+)
+def test_a_binder_bound_again_below_matches_the_normalizer_that_rescanned(src):
+    # Each case's binder is bound again inside its branch, so the branch
+    # uses it only if a scan drops the inner binder's variable.
+    _matches_rescan(parse_term(src), 20)
+
+
+def _case_chain(n: int):
+    """case z+ {x+. case z+ {x+. ... y+ | x+. y+}+ | x+. y+}+, n levels:
+    a simp at every level, each contracted at the root in turn."""
+    y = Var("y", PLUS)
+    t = y
+    for _ in range(n):
+        t = Case(Var("z", PLUS), "x", t, "x", y, PLUS)
+    return t
+
+
+def test_rewrite_on_a_case_chain_matches_the_normalizer_that_rescanned():
+    t = _case_chain(30)
+    _matches_rescan(t, 40)
+    assert len(normalize(t).steps) == 30
 
 
 def _renamed(t, draw):

@@ -270,6 +270,17 @@ def test_derivation_json_strict_schema(fields):
         derivation_from_json(_judgment_json(**fields))
 
 
+@pytest.mark.parametrize("spelling", [["xa"], [{"x": 0, "a": 0}], "xa"])
+def test_derivation_json_rejects_a_malformed_basis_after_its_valid_spelling(spelling):
+    # The load looks each basis up among those it has made before it
+    # validates one: a premise that spells the root's entries [["x", "a"]]
+    # malformed must not find the root's basis.
+    concl = {"gamma": [["x", "a"]], "delta": [], "pol": "+", "term": "x+", "type": "a"}
+    prem = {"rule": "Hyp+", "concl": concl | {"gamma": spelling}, "prems": []}
+    with pytest.raises(DerivationFormatError, match="gamma must be a list"):
+        derivation_from_json(json.dumps({"rule": "Hyp+", "concl": concl, "prems": [prem]}))
+
+
 def test_derivation_json_parse_errors_unchanged():
     for fields, parse, src in [
         ({"gamma": [["x", "a & "]]}, parse_formula, "a & "),
