@@ -7,14 +7,13 @@ the same judgment subjects: the sense of a derivation is the set of
 node, with terms taken up to a bijective renaming of all variables, so
 the particular letters chosen for hypotheses never matter.
 
-`sense` types every subterm of the end term in one bottom-up pass,
-`typecheck.infer_typing` given an `out` dict, which gives each subterm
-its own principal typing (its type and its free variables' formulas); a
-node's scheme is that typing renamed as `typecheck.infer_principal`
-renames, with the free variables named as in the node's canonical form.
-One walk gives a node's canonical form and its text: the text keys the
-entry, which compares and hashes by it, and only a new entry gets a
-scheme.
+`sense` checks that each subject is typable, typing the end term and
+each node's subject that is not a child of its parent's (a subterm of a
+typable term is typable), and keys each node by one walk that gives its
+subject's canonical form and that form's text.  Entries compare and hash
+by the text and polarity; a scheme follows from the canonical subject,
+so an entry infers it with `typecheck.infer_principal` when it is first
+read.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .syntax import (
     with_children,
 )
 from .textio import _format_term, print_term
-from .typecheck import TypeScheme, Typing, Untypable, infer_principal, infer_typing, principal_scheme
+from .typecheck import TypeScheme, Untypable, infer_principal, infer_typing
 
 IDENTICAL = "identical"
 IDENTICAL_MODULO_DUALITY = "identical-modulo-duality"
@@ -78,14 +77,14 @@ def canonical_variable_form(t: Term) -> Term:
     two terms get the same canonical form exactly when one is the other
     under a bijective polarity-preserving renaming of variables.
     """
-    return _canonical(t, {})[0]
+    return _canonical(t)[0]
 
 
-def _canonical(t: Term, free: dict[tuple[str, Polarity], str]) -> tuple[Term, str]:
+def _canonical(t: Term) -> tuple[Term, str]:
     """canonical_variable_form(t) and its text, in one walk: each node's
-    text is formatted from its children's as the node is built.  free gets
-    the name each free variable of t is renamed to."""
+    text is formatted from its children's as the node is built."""
     fresh = map("v{}".format, itertools.count())
+    free: dict[tuple[str, Polarity], str] = {}
     bound: dict[tuple[str, Polarity], str] = {}  # the binders in scope, innermost first
 
     def go(t: Term) -> tuple[Term, str]:
@@ -116,19 +115,23 @@ def _canonical(t: Term, free: dict[tuple[str, Polarity], str]) -> tuple[Term, st
 @dataclass(frozen=True)
 class SenseEntry:
     """Compared and hashed by (text, pol), strings: the term's text stands
-    for the term, and the scheme follows from the term."""
+    for the term, and the scheme follows from the term.  An entry built
+    without a scheme infers it when `scheme` is first read, and keeps it."""
 
     term: Term = field(compare=False)  # in canonical variable form
     pol: Polarity
-    scheme: TypeScheme = field(compare=False)
+    given: TypeScheme | None = field(default=None, compare=False, repr=False)
     text: str | None = field(default=None, repr=False)  # printed from term where not given
 
     def __post_init__(self) -> None:
         if self.text is None:
             object.__setattr__(self, "text", print_term(self.term))
 
-    def __hash__(self) -> int:
-        return hash((self.text, self.pol))
+    @property
+    def scheme(self) -> TypeScheme:
+        if self.given is None:
+            object.__setattr__(self, "given", infer_principal(self.term).scheme)
+        return self.given
 
 
 @dataclass(frozen=True)
@@ -139,42 +142,25 @@ class SenseDescriptor:
         return len(self.entries)
 
 
-def _preorder(d: Derivation):
-    todo = [d]
-    while todo:
-        node = todo.pop()
-        todo.extend(reversed(node.prems))
-        yield node
-
-
 def sense(d: Derivation) -> SenseDescriptor:
-    """Every judgment subject of d with its principal type scheme.
-
-    The schemes come from one pass over the end term (and one over each
-    node's term that is not a subterm object of a term typed before) that
-    types all its subterms; each node's scheme is its subject's typing
-    with the free variables named as in its canonical form.  If a pass
-    fails, each node's subject is inferred on its own, in order, so that
-    the first one without a principal typing raises its error."""
-    typings: dict[int, Typing] = {}
+    """Every judgment subject of d, each with the principal type scheme it
+    infers when read.  In preorder, each node's subject that is not a
+    child of its parent's is typed, so that the first one without a
+    principal typing raises its error; the end term is the first."""
     entries: dict[tuple[str, Polarity], SenseEntry] = {}  # by canonical subject, as text
-    try:
-        for node in _preorder(d):
-            t, pol = node.concl.term, node.concl.pol
-            if id(t) not in typings:
-                for v in check_polarities(t):
-                    raise Untypable(v.message, v.path)
-                infer_typing(t, typings)
-            names: dict[tuple[str, Polarity], str] = {}
-            key, text = _canonical(t, names)
-            if (text, pol) not in entries:
-                ty, free = typings[id(t)]
-                renamed = {(names[v], v[1]): f for v, f in free.items()}
-                entries[text, pol] = SenseEntry(key, pol, principal_scheme(ty, renamed), text)
-    except Exception:  # whatever failed, the former path decides the error
-        for node in _preorder(d):
-            infer_principal(canonical_variable_form(node.concl.term))
-        raise
+    todo: list[tuple[Derivation, tuple[Term, ...]]] = [(d, ())]  # each node with its parent's children
+    while todo:
+        node, above = todo.pop()
+        t, pol = node.concl.term, node.concl.pol
+        if not any(t is c for c in above):
+            for v in check_polarities(t):
+                raise Untypable(v.message, v.path)
+            infer_typing(t)
+        key, text = _canonical(t)
+        if (text, pol) not in entries:
+            entries[text, pol] = SenseEntry(key, pol, None, text)
+        kids = children(t)
+        todo.extend((p, kids) for p in reversed(node.prems))
     return SenseDescriptor(frozenset(entries.values()))
 
 

@@ -3,12 +3,11 @@
 Every constructor-polarity combination matches exactly one rule, so
 typing is syntax directed.  One walker, `_Walker`, instantiates each
 node's row in `derivation.RULE_TABLE` with fresh metavariables and unifies
-(first order, with occurs check).  Without an `out` dict it pushes a
-binder's formula down into its body and keeps one map of free variables:
-`infer_principal` renames the typing `infer_typing` gives, and `check`
-replays the walk, seeded with the basis, to explain a failure.  With one
-it types each subterm on its own, as compositional principal typings do
-(Jim, POPL 1996), and stores it under the subterm's id for `meaning.sense`.
+(first order, with occurs check).  It pushes a binder's formula down
+into its body and keeps one map of free variables: `infer_principal`
+renames the typing `infer_typing` gives, `meaning.sense` asks it only
+whether a subject is typable, and `check` replays the walk, seeded with
+the basis, to explain a failure.
 
 check() takes a closed judgment and is bidirectional (Pierce & Turner,
 "Local Type Inference", 2000; Dunfield & Krishnaswami, "Bidirectional
@@ -179,14 +178,6 @@ def principal(body: Formula, free: dict[tuple[str, Polarity], Formula], pol: Pol
     return Principal(basis, pol, TypeScheme(tuple(m.name for m in names.values()), instantiate(body, names)))
 
 
-def principal_scheme(body: Formula, free: dict[tuple[str, Polarity], Formula]) -> TypeScheme:
-    """`principal`'s scheme, without renaming the basis: its letters still
-    follow first occurrence in gamma, then delta, then body, and list the
-    metavariables that occur in the basis alone."""
-    names = _lettered(body, free)[2]
-    return TypeScheme(tuple(m.name for m in names.values()), instantiate(body, names))
-
-
 def _lettered(body: Formula, free: dict[tuple[str, Polarity], Formula]):
     """free's gamma and delta entries, each sorted by name, and the env
     `instantiate` renames by: each metavariable to the one named by its
@@ -212,13 +203,11 @@ _LATE = {
 }
 
 
-def infer_typing(t: Term, out: dict[int, Typing] | None = None) -> Typing:
-    """t's typing: its formula and its free variables' formulas, resolved.
-    With out, each subterm is typed on its own and out gets its typing
-    under its id; see `_Walker`."""
-    w, free = _Walker(out), {}
+def infer_typing(t: Term) -> Typing:
+    """t's typing: its formula and its free variables' formulas, resolved."""
+    w, free = _Walker(), {}
     ty = w.go(t, free)
-    return w.resolved(ty, free) if out is None else out[id(t)]
+    return w.subst.apply(ty), {v: w.subst.apply(f) for v, f in free.items()}
 
 
 class _Walker:
@@ -229,11 +218,10 @@ class _Walker:
     its child's formula, or unified with the one it holds.  A free variable
     gets a metavariable, or its formula in seeded (else UnboundVariable).
     A failed unification raises Untypable with the node's path, one list
-    made a tuple only then.  With out, each child is typed on its own, its
-    free variables merged into its parent's, and out gets its typing."""
+    made a tuple only then."""
 
-    def __init__(self, out: dict[int, Typing] | None = None, seeded: Basis | None = None):
-        self.subst, self.out, self.seeded, self.path = Substitution(), out, seeded, []
+    def __init__(self, seeded: Basis | None = None):
+        self.subst, self.seeded, self.path = Substitution(), seeded, []
         self.fresh = map(MetaVar, map("m{}".format, count(1))).__next__
 
     def unify(self, a: Formula, b: Formula) -> None:
@@ -241,9 +229,6 @@ class _Walker:
             _unify(a, b, self.subst)
         except UnifyError as e:
             raise Untypable(str(e), tuple(self.path)) from e
-
-    def resolved(self, ty: Formula, free: dict) -> Typing:
-        return self.subst.apply(ty), {v: self.subst.apply(f) for v, f in free.items()}
 
     def go(self, t: Term, variables: dict) -> Formula:
         """t's formula, with variables the formulas of its free variables:
@@ -257,51 +242,38 @@ class _Walker:
                 if ty is None:
                     raise UnboundVariable(f"{t.name}{t.pol} is not assumed in the basis")
                 variables[v] = ty
-        else:
-            rule, env, late = rule_of(t), {}, ()
-            out, path, fresh = self.out, self.path, self.fresh
-            kids, scopes, deferred = children(t), binders(t), _LATE[rule.name]
-            for i, p in enumerate(rule.prems):
-                pat, b = p.type, scopes[i]
-                want = None if deferred[i] or isinstance(pat, MetaVar) else instantiate(pat, env, fresh)
-                f = b and instantiate(p.binds[1], env, fresh)
-                if b and out is None:  # b is bound at f over the child only
-                    outer, variables[b] = variables.get(b), f
-                path.append(i)
-                got = self.go(kids[i], variables if out is None else {})
-                path.pop()
-                if b and out is None:
-                    restore(variables, b, outer)
-                if out is not None:  # merge the child's resolved typing
-                    got, kid = out[id(kids[i])]
-                    if b in kid:
-                        self.unify(kid[b], f)
-                    for v, g in kid.items():
-                        if v != b:
-                            held = variables.setdefault(v, g)
-                            if held is not g:
-                                self.unify(held, g)
-                if want is not None:
-                    self.unify(got, want)
-                elif deferred[i]:
-                    late = (*late, (got, pat))
-                else:
-                    held = env.setdefault(pat.name, got)
-                    if held is not got:
-                        self.unify(held, got)
-            for got, pat in late:
-                self.unify(got, instantiate(pat, env, fresh))
-            ty = instantiate(rule.concl, env, fresh)
-        if self.out is not None:
-            self.out[id(t)] = self.resolved(ty, variables)
-        return ty
+            return ty
+        rule, env, late = rule_of(t), {}, ()
+        path, fresh = self.path, self.fresh
+        kids, scopes, deferred = children(t), binders(t), _LATE[rule.name]
+        for i, p in enumerate(rule.prems):
+            pat, b = p.type, scopes[i]
+            want = None if deferred[i] or isinstance(pat, MetaVar) else instantiate(pat, env, fresh)
+            if b:  # b is bound at its formula over the child only
+                outer, variables[b] = variables.get(b), instantiate(p.binds[1], env, fresh)
+            path.append(i)
+            got = self.go(kids[i], variables)
+            path.pop()
+            if b:
+                restore(variables, b, outer)
+            if want is not None:
+                self.unify(got, want)
+            elif deferred[i]:
+                late = (*late, (got, pat))
+            else:
+                held = env.setdefault(pat.name, got)
+                if held is not got:
+                    self.unify(held, got)
+        for got, pat in late:
+            self.unify(got, instantiate(pat, env, fresh))
+        return instantiate(rule.concl, env, fresh)
 
 
 def schemes_equal(a: TypeScheme, b: TypeScheme) -> bool:
     """Equality modulo renaming of metavariables."""
     return (
         len(a.metavariables) == len(b.metavariables)
-        and principal_scheme(a.body, {}).body == principal_scheme(b.body, {}).body
+        and principal(a.body, {}, PLUS).scheme.body == principal(b.body, {}, PLUS).scheme.body
     )
 
 
@@ -515,7 +487,7 @@ def _replay(basis: Basis, pol: Polarity, t: Term, a: Formula) -> NoReturn:
         raise Untypable(v.message, v.path)
     if pol is not t.pol:
         raise TypeMismatch(f"term is {t.pol} but the judgment wants {pol}")
-    w = _Walker(seeded=basis)
+    w = _Walker(basis)
     got = w.go(t, {})
     try:
         _unify(got, a, w.subst)

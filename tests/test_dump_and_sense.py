@@ -291,3 +291,23 @@ def test_sense_raises_the_former_error(t):
         got, want = _outcome(sense, d), _outcome(former_sense, d)
         assert isinstance(want, tuple)
         assert got == want
+
+
+def test_sense_infers_a_scheme_only_when_it_is_read(monkeypatch):
+    # Every scheme is lettered through typecheck._lettered, so its calls
+    # count the schemes inferred.
+    import l2int.typecheck as typecheck
+    from l2int.meaning import SenseEntry, synonymous
+
+    lettered, calls = typecheck._lettered, []
+    monkeypatch.setattr(typecheck, "_lettered", lambda *a: calls.append(a) or lettered(*a))
+    d = load_golden()[0]
+    entries = sense(d).entries
+    assert synonymous(d, d)
+    assert len(entries) > 1 and calls == []
+    e = next(iter(entries))
+    scheme = e.scheme
+    assert len(calls) == 1
+    assert e.scheme is scheme and len(calls) == 1
+    given = SenseEntry(e.term, e.pol, scheme)
+    assert given.scheme is scheme and len(calls) == 1
