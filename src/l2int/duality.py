@@ -10,13 +10,18 @@ on the nose, not just up to alpha.  `dual_term` rebuilds every constructor
 alike, with `syntax.build`: it reads the dual constructor from
 `derivation._DUAL_CTOR` and the order of the dual's children from
 `derivation.dual_premises`, the statements the rule table's dual rows are
-computed from.  `dual_derivation` dualizes each formula object, each term
-object and each basis object once per call, a formula part by part: a
-JSON load and `check` share formulas and bases between nodes, and the
-dual keeps them shared.  Formulas keep no hash; the memos are keyed by id.
+computed from.  It takes an optional memo keyed by id, as `dual_formula`
+and `textio.print_term` do.  `dual_derivation` passes its three memos
+down as arguments, so no walk is a closure and a call leaves no reference
+cycle, and it dualizes each formula object, each term object and each
+basis object once per call, a formula part by part: a JSON load and
+`check` share formulas and bases between nodes, and the dual keeps them
+shared.  Formulas keep no hash; the memos are keyed by id.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .derivation import _DUAL_CTOR, RULE_TABLE, Derivation, Judgment, dual_premises
 from .syntax import Basis, Formula, Term, Var, build, children, dual_formula, parts_with
@@ -26,31 +31,26 @@ class InvalidDerivation(Exception):
     pass
 
 
-def _dualizer(duals: dict[int, Term] | None):
-    """dual_term, which given a dict also keeps there the dual of each term
-    object it meets, keyed by the object's id, and returns that again when
-    it meets the object again; the objects must outlive the dict.  Either
-    way it takes one Python frame per nesting level."""
-
-    def dual_term(t: Term) -> Term:
-        if duals is not None:
-            d = duals.get(id(t))
-            if d is not None:
-                return d
-        cls = type(t)
-        if cls is Var:
-            d = Var(t.name, t.pol.flip())
-        else:
-            kids = dual_premises(cls, tuple(map(dual_term, children(t))))
-            d = build(_DUAL_CTOR.get(cls, cls), parts_with(t, kids), t.pol.flip())
-        if duals is not None:
-            duals[id(t)] = d
-        return d
-
-    return dual_term
-
-
-dual_term = _dualizer(None)
+def dual_term(t: Term, memo: dict[int, Term] | None = None) -> Term:
+    """The dual of t.  memo, where given, maps the id of each term object
+    dualized so far to its dual, and gets the dual of every subterm of t,
+    as in `print_term`: a caller dualizing terms that share subterm objects
+    dualizes each object once.  The objects must outlive memo.  It takes
+    one Python frame per nesting level."""
+    if memo is not None:
+        d = memo.get(id(t))
+        if d is not None:
+            return d
+    cls = type(t)
+    if cls is Var:
+        d = Var(t.name, t.pol.flip())
+    else:
+        # Without a memo, no `repeat(None)`: it costs a call a few percent.
+        kids = map(dual_term, children(t)) if memo is None else map(dual_term, children(t), repeat(memo))
+        d = build(_DUAL_CTOR.get(cls, cls), parts_with(t, dual_premises(cls, tuple(kids))), t.pol.flip())
+    if memo is not None:
+        memo[id(t)] = d
+    return d
 
 
 def dual_basis(b: Basis, memo: dict[int, Formula] | None = None) -> Basis:
@@ -69,23 +69,19 @@ def dual_derivation(d: Derivation) -> Derivation:
     each basis object is dualized once per call, a formula part by part, so
     formulas and their parts, subterms and bases the input shares stay
     shared in the dual."""
-    formulas: dict[int, Formula] = {}  # all three memos by id: the input holds each object for the call
-    term = _dualizer({})
-    bases: dict[int, Basis] = {}
+    return _dual_node(d, {}, {}, {})
 
-    def basis(b: Basis) -> Basis:
-        got = bases.get(id(b))
-        if got is None:
-            got = bases[id(b)] = dual_basis(b, formulas)
-        return got
 
-    def node(d: Derivation) -> Derivation:
-        rule = RULE_TABLE.get(d.rule)
-        if rule is None:
-            raise InvalidDerivation(f"unknown rule {d.rule!r}")
-        j = d.concl
-        concl = Judgment(basis(j.basis), j.pol.flip(), term(j.term), dual_formula(j.type, formulas))
-        prems = dual_premises(rule.ctor, tuple(map(node, d.prems)))
-        return Derivation(rule.dual, concl, prems)
-
-    return node(d)
+def _dual_node(d: Derivation, formulas: dict, terms: dict, bases: dict) -> Derivation:
+    """The dual of d, with formulas, terms and bases the call's memos, each
+    keyed by id: the input holds each object for the call."""
+    rule = RULE_TABLE.get(d.rule)
+    if rule is None:
+        raise InvalidDerivation(f"unknown rule {d.rule!r}")
+    j = d.concl
+    basis = bases.get(id(j.basis))
+    if basis is None:
+        basis = bases[id(j.basis)] = dual_basis(j.basis, formulas)
+    concl = Judgment(basis, j.pol.flip(), dual_term(j.term, terms), dual_formula(j.type, formulas))
+    prems = map(_dual_node, d.prems, repeat(formulas), repeat(terms), repeat(bases))
+    return Derivation(rule.dual, concl, dual_premises(rule.ctor, tuple(prems)))

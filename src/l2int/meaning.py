@@ -10,10 +10,11 @@ the particular letters chosen for hypotheses never matter.
 `sense` checks that each subject is typable, typing the end term and
 each node's subject that is not a child of its parent's (a subterm of a
 typable term is typable), and keys each node by one walk that gives its
-subject's canonical form and that form's text.  Entries compare and hash
-by the text and polarity; a scheme follows from the canonical subject,
-so an entry infers it with `typecheck.infer_principal` when it is first
-read.
+subject's canonical form and that form's text.  The walk passes its state
+down as arguments, so it leaves no reference cycle.  Entries compare and
+hash by the text and polarity; a scheme follows from the canonical
+subject, so an entry infers it with `typecheck.infer_principal` when it
+is first read.
 """
 
 from __future__ import annotations
@@ -24,17 +25,7 @@ from dataclasses import dataclass, field
 from .derivation import Derivation, check_polarities
 from .duality import dual_term
 from .rewrite import DEFAULT_FUEL, FuelExhausted, NormalizeResult, normalize
-from .syntax import (
-    PLUS,
-    Polarity,
-    Term,
-    Var,
-    alpha_eq,
-    binders,
-    children,
-    restore,
-    with_children,
-)
+from .syntax import Polarity, Term, Var, alpha_eq, binders, children, restore, with_children
 from .textio import _format_term, print_term
 from .typecheck import TypeScheme, Untypable, infer_principal, infer_typing
 
@@ -80,36 +71,34 @@ def canonical_variable_form(t: Term) -> Term:
     return _canonical(t)[0]
 
 
-def _canonical(t: Term) -> tuple[Term, str]:
+def _canonical(t: Term, fresh=None, free=None, bound=None) -> tuple[Term, str]:
     """canonical_variable_form(t) and its text, in one walk: each node's
-    text is formatted from its children's as the node is built."""
-    fresh = map("v{}".format, itertools.count())
-    free: dict[tuple[str, Polarity], str] = {}
-    bound: dict[tuple[str, Polarity], str] = {}  # the binders in scope, innermost first
-
-    def go(t: Term) -> tuple[Term, str]:
-        if type(t) is Var:
-            name = bound.get((t.name, t.pol))
-            if name is None:
-                name = free.setdefault((t.name, t.pol), next(fresh))
-            return Var(name, t.pol), name + ("+" if t.pol is PLUS else "-")
-        new, names, texts = [], [], []
-        for c, b in zip(children(t), binders(t)):
-            if b is None:
-                k, s = go(c)
-                names.append(None)
-            else:
-                x = next(fresh)
-                outer, bound[b] = bound.get(b), x
-                k, s = go(c)
-                names.append(x)
-                restore(bound, b, outer)
-            new.append(k)
-            texts.append(s)
-        k = with_children(t, new, names)
-        return k, _format_term(k, texts)
-
-    return go(t)
+    text is formatted from its children's as the node is built.  The walk's
+    state is passed down: fresh yields the new names, free maps each free
+    variable met to its name, and bound each binder in scope to its name,
+    the innermost one; a call without them starts from none."""
+    if fresh is None:
+        fresh, free, bound = map("v{}".format, itertools.count()), {}, {}
+    if type(t) is Var:
+        name = bound.get((t.name, t.pol))
+        if name is None:
+            name = free.setdefault((t.name, t.pol), next(fresh))
+        return Var(name, t.pol), name + t.pol.sign
+    new, names, texts = [], [], []
+    for c, b in zip(children(t), binders(t)):
+        if b is None:
+            k, s = _canonical(c, fresh, free, bound)
+            names.append(None)
+        else:
+            x = next(fresh)
+            outer, bound[b] = bound.get(b), x
+            k, s = _canonical(c, fresh, free, bound)
+            names.append(x)
+            restore(bound, b, outer)
+        new.append(k)
+        texts.append(s)
+    k = with_children(t, new, names)
+    return k, _format_term(k, texts)
 
 
 @dataclass(frozen=True)

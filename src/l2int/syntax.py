@@ -38,11 +38,14 @@ class Polarity(enum.Enum):
     # call on every (name, polarity) key hashed.
     __hash__ = object.__hash__
 
+    def __init__(self, sign: str) -> None:
+        self.sign = sign  # a plain attribute: `value` is a Python-level property
+
     def flip(self) -> "Polarity":
         return MINUS if self is PLUS else PLUS
 
     def __str__(self) -> str:
-        return self.value
+        return self.sign
 
 
 PLUS = Polarity.PLUS
@@ -485,9 +488,7 @@ def alpha_key(t: Term):
     env: dict = {}  # the binders in scope, each at its depth; set and restored around a child
 
     def go(t: Term, depth: int):
-        # The sign is read by identity: `Polarity.value` is a Python-level
-        # property call.
-        sign = "+" if t.pol is PLUS else "-"
+        sign = t.pol.sign
         if isinstance(t, Var):
             k = env.get((t.name, t.pol))
             return ("b", k, sign) if k is not None else ("f", t.name, sign)

@@ -24,6 +24,8 @@ part by part.  Each distinct basis is made once per load.  A dump
 writes the JSON text itself, byte for byte what `json.dumps` makes of the
 tree, and prints each formula object and each term object once: a
 premise's term is its parent's subterm, so its text is known by then.
+A load keeps its memos in a `_Load` made per call, and a dump in a
+`_Dump`: no walk is a closure, so a call leaves no reference cycle.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .syntax import (
@@ -420,7 +422,7 @@ def print_term(t: Term, memo: dict[int, str] | None = None) -> str:
         if s is not None:
             return s
     if type(t) is Var:
-        s = t.name + ("+" if t.pol is PLUS else "-")
+        s = t.name + t.pol.sign
     elif type(t) in _FORMATS:
         s = _format_term(t, list(map(print_term, children(t), repeat(memo))))
     else:
@@ -432,17 +434,15 @@ def print_term(t: Term, memo: dict[int, str] | None = None) -> str:
 
 def _format_term(t: Term, kids: list[str]) -> str:
     """The text of t, not a variable, given its children's in order."""
-    # Formatting the polarity enum would cost three calls.
-    sign = "+" if getattr(t, "pol", None) is PLUS else "-"
     form, binds = _FORMATS[type(t)]
     if binds:
         args = []
         for kid, b in zip(kids, binders(t)):
             if b is not None:
-                args += b[0], "+" if b[1] is PLUS else "-"
+                args += b[0], b[1].sign
             args.append(kid)
         kids = args
-    return form.format(*kids, s=sign)
+    return form.format(*kids, s=t.pol.sign)
 
 
 # ------------------------------------------------------------- derivations
@@ -460,23 +460,34 @@ def derivation_to_json(d: Derivation, indent: int | None = 2) -> str:
     `json.dumps(..., indent=indent)` makes of that tree, written directly.
     Each string is escaped by the encoder `json.dumps` uses, and each
     formula object and each term object is printed once: a premise's term
-    is its parent's subterm, so its text is already known.  Both memos are
-    keyed by id, as formulas keep no hash."""
-    quote = encode_basestring_ascii
-    formulas: dict[int, str] = {}
-    terms: dict[int, str] = {}
+    is its parent's subterm, so its text is already known."""
+    dump = _Dump(indent)
+    dump.node(d, 1)
+    return "".join(dump.out)
 
-    def formula(f: Formula) -> str:
-        s = formulas.get(id(f))
+
+class _Dump:
+    """One dump's state: the text of each formula object and each term
+    object printed so far, keyed by id as formulas keep no hash, the
+    layout of each depth met so far, and the pieces written."""
+
+    def __init__(self, indent: int | None):
+        self.indent = indent
+        self.formulas: dict[int, str] = {}
+        self.terms: dict[int, str] = {}
+        # Per depth of a container's items: what opens its first item, what
+        # separates two items and what goes before its closing bracket.
+        self.layout: list[tuple[str, str, str]] = []
+        self.out: list[str] = []
+
+    def formula(self, f: Formula) -> str:
+        s = self.formulas.get(id(f))
         if s is None:
-            s = formulas[id(f)] = quote(print_formula(f))
+            s = self.formulas[id(f)] = _quote(print_formula(f))
         return s
 
-    # Per depth of a container's items: what opens its first item, what
-    # separates two items and what goes before its closing bracket.
-    layout: list[tuple[str, str, str]] = []
-
-    def at(depth: int) -> tuple[str, str, str]:
+    def at(self, depth: int) -> tuple[str, str, str]:
+        layout, indent = self.layout, self.indent
         while len(layout) <= depth:
             if indent is None:
                 layout.append(("", ", ", ""))
@@ -485,38 +496,33 @@ def derivation_to_json(d: Derivation, indent: int | None = 2) -> str:
                 layout.append((pad, "," + pad, pad[: len(pad) - indent]))
         return layout[depth]
 
-    def basis(entries, depth: int) -> str:
+    def basis(self, entries, depth: int) -> str:
         if not entries:
             return "[]"
-        (o, s, c), (po, ps, pc) = at(depth), at(depth + 1)
-        pairs = s.join(f"[{po}{quote(n)}{ps}{formula(f)}{pc}]" for n, f in entries)
+        (o, s, c), (po, ps, pc) = self.at(depth), self.at(depth + 1)
+        pairs = s.join(f"[{po}{_quote(n)}{ps}{self.formula(f)}{pc}]" for n, f in entries)
         return f"[{o}{pairs}{c}]"
 
-    out: list[str] = []
-
-    def node(d: Derivation, depth: int) -> None:
-        j = d.concl
-        (o, s, c), (co, cs, cc) = at(depth), at(depth + 1)
+    def node(self, d: Derivation, depth: int) -> None:
+        j, out = d.concl, self.out
+        (o, s, c), (co, cs, cc) = self.at(depth), self.at(depth + 1)
         out.append(
-            f'{{{o}"rule": {quote(d.rule)}{s}"concl": {{{co}'
-            f'"gamma": {basis(j.basis.gamma, depth + 2)}{cs}'
-            f'"delta": {basis(j.basis.delta, depth + 2)}{cs}'
-            f'"pol": "{j.pol}"{cs}"term": {quote(print_term(j.term, terms))}{cs}'
-            f'"type": {formula(j.type)}{cc}}}{s}"prems": '
+            f'{{{o}"rule": {_quote(d.rule)}{s}"concl": {{{co}'
+            f'"gamma": {self.basis(j.basis.gamma, depth + 2)}{cs}'
+            f'"delta": {self.basis(j.basis.delta, depth + 2)}{cs}'
+            f'"pol": "{j.pol.sign}"{cs}"term": {_quote(print_term(j.term, self.terms))}{cs}'
+            f'"type": {self.formula(j.type)}{cc}}}{s}"prems": '
         )
         if d.prems:
             out.append("[" + co)
             for i, p in enumerate(d.prems):
                 if i:
                     out.append(cs)
-                node(p, depth + 2)
+                self.node(p, depth + 2)
             out.append(cc + "]")
         else:
             out.append("[]")
         out.append(c + "}")
-
-    node(d, 1)
-    return "".join(out)
 
 
 class DerivationFormatError(Exception):
@@ -550,22 +556,32 @@ def derivation_from_obj(obj) -> Derivation:
     at all; so a valid derivation's term is parsed once, at the root, and
     every premise's term is its parent's subterm.  Each distinct basis, by
     its gamma and delta entries as given, is made once."""
-    formulas: dict = {}  # every formula string parsed and every formula made
-    terms: dict[str, Term] = {}  # by text: every term string parsed
-    spans: dict[int, tuple[int, int]] = {}  # every parsed subterm's place in its source
-    bases: dict[tuple, Basis] = {}
+    return _Load().node(obj)
 
-    def child(src: str, parent: tuple[Term, str]) -> tuple[Term, str] | None:
+
+class _Load:
+    """One load's memos: every formula string parsed and every formula
+    made, every term string parsed (by text), every parsed subterm's place
+    in its source (by id), and every basis made (by its entries)."""
+
+    def __init__(self):
+        self.formulas: dict = {}
+        self.terms: dict[str, Term] = {}
+        self.spans: dict[int, tuple[int, int]] = {}
+        self.bases: dict[tuple, Basis] = {}
+
+    def child(self, src: str, parent: tuple[Term, str]) -> tuple[Term, str] | None:
         """The child of parent's term whose text src is, with the string
         its spans refer to, if there is one."""
         parent_term, parent_src = parent
         for t in children(parent_term):
-            start, end = spans[id(t)]
+            start, end = self.spans[id(t)]
             if end - start == len(src) and parent_src.startswith(src, start):
                 return t, parent_src
         return None
 
-    def node(obj, parent: tuple[Term, str] | None = None) -> Derivation:
+    def node(self, obj, parent: tuple[Term, str] | None = None) -> Derivation:
+        formulas, bases = self.formulas, self.bases
         if not isinstance(obj, dict):
             raise DerivationFormatError("derivation must be an object")
         for key in ("rule", "concl", "prems"):
@@ -598,11 +614,11 @@ def derivation_from_obj(obj) -> Derivation:
         if pol is None:
             raise DerivationFormatError(f"pol must be '+' or '-', not {c['pol']!r}")
         src = c["term"]
-        here = None if parent is None else child(src, parent)
+        here = None if parent is None else self.child(src, parent)
         if here is None:  # parsed in node's own frame: a deep root term has little stack above it
-            t = terms.get(src)
+            t = self.terms.get(src)
             if t is None:
-                t = terms[src] = _parse_term(src, spans)
+                t = self.terms[src] = _parse_term(src, self.spans)
             here = t, src
         typ = _shared_formula(c["type"], formulas)
         if basis is None:
@@ -610,9 +626,7 @@ def derivation_from_obj(obj) -> Derivation:
                 raise DerivationFormatError("duplicate assumption name in basis")
             basis = bases[key] = Basis.make(gamma, delta)
         concl = Judgment(basis, pol, here[0], typ)
-        return Derivation(obj["rule"], concl, tuple(map(node, obj["prems"], repeat(here))))
-
-    return node(obj)
+        return Derivation(obj["rule"], concl, tuple(map(self.node, obj["prems"], repeat(here))))
 
 
 def derivation_from_json(text: str) -> Derivation:

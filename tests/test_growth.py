@@ -10,17 +10,20 @@ the time rows stay beside them.
 """
 
 import gc
+import json
 import sys
 import time
 
 import pytest
 
 from l2int.derivation import validate
+from l2int.duality import dual_derivation
 from l2int.meaning import sense
 from l2int.rewrite import find_redexes, normalize
-from l2int.syntax import PLUS, And, Atom, Basis, Imp, Inl, Lam, Or, Pair, Var, term_size
-from l2int.textio import parse_formula, parse_term, print_formula, print_term
+from l2int.syntax import PLUS, And, App, Atom, Basis, Imp, Inl, Lam, Or, Pair, Var, term_size
+from l2int.textio import derivation_from_obj, derivation_to_json, parse_formula, parse_term, print_formula, print_term
 from l2int.typecheck import check, infer_principal
+from test_recursion_depth import _derivation
 from test_rewrite import _case_chain
 
 
@@ -208,5 +211,60 @@ def test_sense_calls_grow_with_its_output(chain):
         d = chain(n)
         output = sum(term_size(e.term) for e in sense(d).entries)
         return _calls(lambda: sense(d)) / output
+
+    assert per_node(200) < 1.2 * per_node(100)
+
+
+def test_dual_derivation_calls_grow_with_its_output():
+    # On the chain of lambdas that all bind x, each node's type is its
+    # parent's right part and each node's term its parent's body, so the
+    # dual's end term holds every term of the dual once.  Calls per node of
+    # it read 1.00 from 100 to 200 levels (41.04 -> 41.02).  Dropping the
+    # memo of terms, or of formulas, dualizes each node's term or type from
+    # scratch, which makes it 1.95-1.96.
+    def per_node(n):
+        d = _derivation("lambda", n)
+        return _calls(lambda: dual_derivation(d)) / term_size(dual_derivation(d).concl.term)
+
+    assert per_node(200) < 1.2 * per_node(100)
+
+
+def _app_chain(n: int):
+    """The derivation of app+(f+, app+(f+, ... y+)) at F under f : F -> F
+    and y : F, where F is a & a & ... & a, n levels deep: every node
+    carries F, or F -> F, and the one basis, as the same objects, and every
+    node's JSON repeats their text."""
+    a = Atom("a")
+    f, t = a, Var("y", PLUS)
+    for _ in range(n):
+        f, t = And(f, a), App(Var("f", PLUS), t, PLUS)
+    return check(Basis.make({"f": Imp(f, f), "y": f}), PLUS, t, f)
+
+
+# Per walk: what it takes, made from the app chain, and the walk.
+JSON_WALKS = {
+    "derivation_to_json": (lambda d: d, derivation_to_json),
+    "derivation_from_obj": (lambda d: json.loads(derivation_to_json(d)), derivation_from_obj),
+}
+
+
+@pytest.mark.parametrize("walk", list(JSON_WALKS))
+def test_json_calls_are_linear_in_the_nodes_of_a_chain_at_one_type(walk):
+    # Each formula object, and each formula string, is printed or parsed
+    # once per call, and each term once, so the calls per derivation node
+    # read 1.00 from 100 to 200 levels (the dump 106.7 -> 106.8, the load
+    # 212.7 -> 212.9), though the text grows as n².  Dropping the memo of
+    # formulas prints or parses F at every node (1.97-1.98); dropping the
+    # dump's memo of terms prints each node's term from scratch (1.73), and
+    # parsing each premise's term string instead of taking its parent's
+    # child does the same in the load (1.97).  On the `inl` chain no such
+    # row can see these memos: each node's type there is a new formula,
+    # which both walks print or parse in full, so their calls grow as the
+    # text does with the memos or without.
+    make, run = JSON_WALKS[walk]
+
+    def per_node(n):
+        arg = make(_app_chain(n))
+        return _calls(lambda: run(arg)) / (n + 1)
 
     assert per_node(200) < 1.2 * per_node(100)
